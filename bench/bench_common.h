@@ -3,9 +3,10 @@
 // Shared helpers for the paper-reproduction benches: scale selection,
 // Table-I row construction, and campaign configuration.
 //
-// Every bench honours SSRESF_BENCH_SCALE = quick (default) | full. "quick"
-// keeps the whole bench suite in minutes; "full" raises the sampling volume
-// for tighter statistics.
+// Every bench honours the one size knob SSRESF_BENCH_SCALE = smoke | quick
+// (default) | full. "quick" keeps the whole bench suite in minutes; "full"
+// raises the sampling volume for tighter statistics; "smoke" samples like
+// quick but trims bench_table3_runtime to its CI throughput matrix.
 
 #include <cstdio>
 #include <cstdlib>
@@ -30,9 +31,9 @@ struct BenchScale {
 
 inline BenchScale bench_scale() {
   const char* env = std::getenv("SSRESF_BENCH_SCALE");
-  if (env != nullptr && std::string(env) == "full") {
-    return {"full", 0.03, 12, 64, 64, 10};
-  }
+  const std::string mode = env != nullptr ? env : "";
+  if (mode == "full") return {"full", 0.03, 12, 64, 64, 10};
+  if (mode == "smoke") return {"smoke", 0.005, 3, 12, 12, 8};
   return {"quick", 0.005, 3, 12, 12, 8};
 }
 

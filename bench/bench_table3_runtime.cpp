@@ -17,10 +17,11 @@
 // stamped with hardware_threads so downstream gates can judge thread
 // scaling relative to the cores that were actually available (a 1-core
 // container cannot show wall-clock speedup at any thread count).
-// SSRESF_BENCH_SMOKE=1 runs a trimmed matrix at a smaller injection volume
-// and skips the flux/ML table (the CI smoke mode); the full matrix raises
-// sampling until the campaign exceeds 2000 injections per cell so the
-// rates are steady-state, not fixed-cost noise.
+// SSRESF_BENCH_SCALE=smoke runs a trimmed matrix at a smaller injection
+// volume and skips the flux/ML table (the CI smoke mode); every other scale
+// runs the full matrix, which raises sampling until the campaign exceeds
+// 2000 injections per cell so the rates are steady-state, not fixed-cost
+// noise.
 #include <fstream>
 #include <thread>
 
@@ -275,8 +276,7 @@ int main() {
   const soc::SocModel model = bench::build_row_soc(rows[0]);
   const auto db = radiation::SoftErrorDatabase::default_database();
 
-  const char* smoke_env = std::getenv("SSRESF_BENCH_SMOKE");
-  const bool smoke = smoke_env != nullptr && std::string(smoke_env) == "1";
+  const bool smoke = std::string(scale.name) == "smoke";
   const int matrix_status = run_throughput_matrix(model, db, smoke);
   if (smoke || matrix_status != 0) return matrix_status;
 

@@ -8,13 +8,12 @@ Two checks, both run by the CI `docs` job:
    exists in the repo. External http(s)/mailto links are not fetched.
 
 2. CLI drift check — docs/CLI.md is compared against the live `--help`
-   output of ssresf and ssresf_campaign, in both directions: a flag the
-   binaries advertise but the page never mentions is missing
-   documentation; a flag the page mentions but no binary advertises is
-   stale documentation. Either direction fails.
+   output of ssresf, in both directions: a flag the binary advertises but
+   the page never mentions is missing documentation; a flag the page
+   mentions but the binary does not advertise is stale documentation.
+   Either direction fails.
 
-Usage: check_docs.py [--repo-root DIR] [--ssresf BIN] [--campaign BIN]
-                     [--skip-cli]
+Usage: check_docs.py [--repo-root DIR] [--ssresf BIN] [--skip-cli]
 
 --skip-cli runs only the link check (for doc edits without a build).
 """
@@ -65,20 +64,18 @@ def help_flags(binary):
     return set(FLAG_RE.findall(text))
 
 
-def check_cli(root, binaries):
+def check_cli(root, binary):
     page = root / "docs" / "CLI.md"
     documented = set(FLAG_RE.findall(page.read_text(encoding="utf-8")))
-    # Both binaries accept --help without listing it in their usage text.
-    advertised = {"--help"}
-    for binary in binaries:
-        advertised |= help_flags(binary)
+    # The CLI accepts --help without listing it in its usage text.
+    advertised = {"--help"} | help_flags(binary)
     failures = []
     for flag in sorted(advertised - documented):
         failures.append(f"docs/CLI.md: flag {flag} is in --help but "
                         "undocumented")
     for flag in sorted(documented - advertised):
-        failures.append(f"docs/CLI.md: flag {flag} is documented but no "
-                        "binary advertises it (stale)")
+        failures.append(f"docs/CLI.md: flag {flag} is documented but "
+                        "--help does not advertise it (stale)")
     return failures
 
 
@@ -86,7 +83,6 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repo-root", default=".")
     parser.add_argument("--ssresf", default="build/ssresf")
-    parser.add_argument("--campaign", default="build/ssresf_campaign")
     parser.add_argument("--skip-cli", action="store_true",
                         help="only run the link check")
     args = parser.parse_args()
@@ -94,7 +90,7 @@ def main():
 
     failures = check_links(root)
     if not args.skip_cli:
-        failures += check_cli(root, [args.ssresf, args.campaign])
+        failures += check_cli(root, args.ssresf)
 
     if failures:
         print("FAIL: documentation checks:", file=sys.stderr)

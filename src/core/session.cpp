@@ -152,6 +152,10 @@ fi::CampaignResult Session::simulate_served() {
   copts.frame_deadline_seconds = spec_.fleet.frame_deadline;
   copts.secret = spec_.fleet.secret;
   copts.journal_path = options_.serve_journal;
+  // A caller watching progress also gets the coordinator's fleet log on
+  // stderr (ready / reassigning / resumed journal): the lines that show
+  // which recovery path a served campaign actually took.
+  copts.verbose = static_cast<bool>(options_.progress);
   net::Coordinator coordinator(spec_.campaign, db_, copts);
   note("simulate", "serving campaign on port " +
                        std::to_string(coordinator.port()));

@@ -60,9 +60,10 @@ struct SessionOptions {
   // --- simulate-stage delegation (socket transport) -------------------------
   /// >= 0: simulate() does no local injection work — it serves the scenario's
   /// campaign on this TCP port (0 = ephemeral) and collects records from
-  /// --connect workers, exactly like `ssresf_campaign --serve`. Requires a
-  /// scenario-built model (the workers rebuild it from the spec and
-  /// digest-check it).
+  /// connecting workers (`ssresf serve` / `ssresf simulate --workers N`, fed
+  /// by `ssresf worker`). Requires a scenario-built model (the workers
+  /// rebuild it from the spec and digest-check it). With a progress hook set,
+  /// the coordinator also logs its fleet events to stderr.
   int serve_port = -1;
   bool serve_loopback_only = true;
   std::uint64_t serve_chunk_injections = 0;  // 0 = plan/64

@@ -229,7 +229,8 @@ CampaignPrep prepare_campaign(const soc::SocModel& model,
 void execute_injections(const soc::SocModel& model,
                         const CampaignConfig& config, const CampaignPrep& prep,
                         std::span<const std::size_t> owned,
-                        std::vector<InjectionRecord>& records) {
+                        std::vector<InjectionRecord>& records,
+                        std::uint64_t* simulated_cycles) {
   if (records.size() != prep.plan.size()) {
     throw InvalidArgument("execute_injections: record vector size mismatch");
   }
@@ -265,6 +266,8 @@ void execute_injections(const soc::SocModel& model,
   };
   PaddedCounter next_index;
   PaddedCounter progress_done;
+  // Each worker adds its cycle total once, after its last work item.
+  std::atomic<std::uint64_t> cycles_done{0};
   const auto report_progress = [&](std::uint64_t completed) {
     if (config.progress) {
       config.progress(progress_done.v.fetch_add(completed) + completed,
@@ -277,6 +280,7 @@ void execute_injections(const soc::SocModel& model,
     // run copied the monitored-net list and the golden trace prefix every
     // time, which dominated the per-injection cost at scale.
     sim::Testbench tb(*engine, tb_config);
+    std::uint64_t cycles = 0;
     for (std::size_t oi; (oi = next_index.v.fetch_add(1)) < owned.size();) {
       const std::size_t i = owned[oi];
       const PlannedInjection& pi = plan[i];
@@ -341,6 +345,10 @@ void execute_injections(const soc::SocModel& model,
           break;
         }
       }
+      cycles += tb.cycles_run() -
+                (checkpoint != nullptr
+                     ? static_cast<std::uint64_t>(checkpoint->cycle)
+                     : 0);
       const std::optional<std::size_t> mismatch = tb.first_divergence();
 
       InjectionRecord record;
@@ -352,6 +360,7 @@ void execute_injections(const soc::SocModel& model,
       out.emplace_back(i, record);
       report_progress(1);
     }
+    cycles_done.fetch_add(cycles);
   };
 
   // --- bit-parallel word batches ---------------------------------------------
@@ -431,6 +440,7 @@ void execute_injections(const soc::SocModel& model,
       } kind;
     };
     std::vector<Action> actions;
+    std::uint64_t cycles = 0;
     for (std::size_t b; (b = next_batch.v.fetch_add(1)) < batches.size();) {
       const WordBatch& batch = batches[b];
       const int nslots = static_cast<int>(batch.idx.size());
@@ -443,6 +453,7 @@ void execute_injections(const soc::SocModel& model,
       } else {
         engine.reset_state();
       }
+      const int start_cycle = cycle;
       // Testbench-constructor equivalent (no-ops when resuming mid-run).
       engine.set_input(tb_config.clk, Logic::L0);
       if (tb_config.rstn.valid()) engine.set_input(tb_config.rstn, Logic::L1);
@@ -565,6 +576,7 @@ void execute_injections(const soc::SocModel& model,
         }
       }
 
+      cycles += static_cast<std::uint64_t>(cycle - start_cycle);
       for (int s = 0; s < nslots; ++s) {
         const std::size_t i = batch.idx[static_cast<std::size_t>(s)];
         const int lane = s + 1;
@@ -580,6 +592,7 @@ void execute_injections(const soc::SocModel& model,
       }
       report_progress(static_cast<std::uint64_t>(nslots));
     }
+    cycles_done.fetch_add(cycles);
   };
 
   const auto run_worker = [&](RecordArena& out) {
@@ -622,6 +635,7 @@ void execute_injections(const soc::SocModel& model,
   for (const RecordArena& arena : arenas) {
     for (const auto& [i, record] : arena) records[i] = record;
   }
+  if (simulated_cycles != nullptr) *simulated_cycles = cycles_done.load();
 }
 
 CampaignStats compute_campaign_stats(const soc::SocModel& model,

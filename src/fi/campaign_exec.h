@@ -78,11 +78,16 @@ struct CampaignPrep {
 
 /// Simulates the plan entries whose global indices are listed in `owned`
 /// (ascending, no duplicates), writing records[i] for each; other slots are
-/// left untouched. Honors config.threads within this process.
+/// left untouched. Honors config.threads within this process. When
+/// `simulated_cycles` is given it receives the clock cycles the engines
+/// actually simulated (summed per injection, or per word batch on the packed
+/// engine) — the work a chunk did, which early and masked exits make vary
+/// tenfold between injections.
 void execute_injections(const soc::SocModel& model,
                         const CampaignConfig& config, const CampaignPrep& prep,
                         std::span<const std::size_t> owned,
-                        std::vector<InjectionRecord>& records);
+                        std::vector<InjectionRecord>& records,
+                        std::uint64_t* simulated_cycles = nullptr);
 
 /// Aggregates fully populated records (one per plan entry) into the final
 /// result. Consumes the prep's clustering/xsect tables.

@@ -1,28 +1,14 @@
 #include "fi/golden_bundle.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
 #include "fi/campaign.h"
-#include "fi/shard.h"
 #include "sim/state_codec.h"
-#include "util/atomic_file.h"
 #include "util/error.h"
 
 namespace ssresf::fi {
 
 namespace {
-
-constexpr char kBundleMagic[4] = {'S', 'S', 'G', 'B'};
-constexpr std::uint8_t kBundleVersion = 1;
-
-[[nodiscard]] std::string hex64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 void encode_trace(util::ByteWriter& out, const sim::OutputTrace& trace) {
   out.varint(trace.nets().size());
@@ -161,65 +147,6 @@ detail::CampaignPrep prepare_campaign_with_bundle(
     prep.ladder.push_back({rung.cycle, sim::decode_state(*engine, rung.state)});
   }
   return prep;
-}
-
-void write_golden_bundle_file(const std::string& path,
-                              const soc::SocModel& model,
-                              const CampaignConfig& config,
-                              const GoldenBundle& bundle) {
-  util::ByteWriter out;
-  out.bytes(kBundleMagic, sizeof(kBundleMagic));
-  out.u8(kBundleVersion);
-  out.fixed64(campaign_config_digest(model, config));
-  encode_golden_bundle(out, bundle);
-
-  // Crash-safe: the .ssgb is shared across worker launches — a torn one
-  // would fail every worker, an old-but-complete one is still valid.
-  util::atomic_write_file(path, out.data());
-}
-
-GoldenBundle read_golden_bundle_file(const std::string& path,
-                                     const soc::SocModel& model,
-                                     const CampaignConfig& config) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw Error("golden bundle: cannot open '" + path + "'");
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
-  util::ByteReader in(bytes);
-  char magic[4];
-  if (in.remaining() < sizeof(magic) + 1 + 8) {
-    throw InvalidArgument("golden bundle '" + path + "': truncated header (" +
-                          std::to_string(bytes.size()) + " bytes, need " +
-                          std::to_string(sizeof(magic) + 1 + 8) + ")");
-  }
-  in.bytes(magic, sizeof(magic));
-  if (std::string_view(magic, 4) != std::string_view(kBundleMagic, 4)) {
-    throw InvalidArgument("golden bundle '" + path + "': bad magic");
-  }
-  const std::uint8_t version = in.u8();
-  if (version != kBundleVersion) {
-    throw InvalidArgument("golden bundle '" + path + "': unsupported version " +
-                          std::to_string(version));
-  }
-  const std::uint64_t digest = in.fixed64();
-  const std::uint64_t expected = campaign_config_digest(model, config);
-  if (digest != expected) {
-    throw InvalidArgument("golden bundle '" + path +
-                          "': campaign configuration digest mismatch (file " +
-                          hex64(digest) + ", expected " + hex64(expected) +
-                          " — different model, seed, or config)");
-  }
-  try {
-    return decode_golden_bundle(in);
-  } catch (const Error& e) {
-    // Rethrow with the byte offset of the failure — "corrupt at offset N of
-    // M" narrows a flipped bit or torn write to the spot, which matters when
-    // the bundle crossed a network or a crashed coordinator.
-    throw InvalidArgument(
-        std::string(e.what()) + " (in '" + path + "' at byte offset " +
-        std::to_string(bytes.size() - in.remaining()) + " of " +
-        std::to_string(bytes.size()) + ")");
-  }
 }
 
 }  // namespace ssresf::fi

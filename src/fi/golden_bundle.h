@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "fi/campaign_exec.h"
@@ -11,10 +10,9 @@ namespace ssresf::fi {
 
 /// The shippable golden work of a campaign: everything prepare_campaign
 /// derives by simulating the fault-free SoC. A coordinator computes it once
-/// and ships it to every worker (socket transport) or writes it next to the
-/// shard files (process transport), so workers skip both golden passes — the
-/// halt-length run and the replay + snapshot pass — that PR 3 paid per
-/// shard. Checkpoints travel as sim/state_codec RLE frames, so the bundle is
+/// and ships it to every worker in the campaign frame, so workers skip both
+/// golden passes — the halt-length run and the replay + snapshot pass.
+/// Checkpoints travel as sim/state_codec RLE frames, so the bundle is
 /// host-portable like the .ssfs shard files.
 struct GoldenBundle {
   /// Resolved workload length: config.run_cycles when set, else the length
@@ -49,19 +47,5 @@ void encode_golden_bundle(util::ByteWriter& out, const GoldenBundle& bundle);
 [[nodiscard]] detail::CampaignPrep prepare_campaign_with_bundle(
     const soc::SocModel& model, const CampaignConfig& config,
     const radiation::SoftErrorDatabase& database, const GoldenBundle& bundle);
-
-/// Golden-bundle file ("SSGB" magic, version, campaign_config_digest,
-/// bundle): the process-transport coordinator writes one into the shard
-/// scratch dir and points workers at it. The digest binds the file to the
-/// exact campaign, like the .ssfs header does.
-void write_golden_bundle_file(const std::string& path,
-                              const soc::SocModel& model,
-                              const CampaignConfig& config,
-                              const GoldenBundle& bundle);
-
-/// Throws InvalidArgument on a malformed file or a digest mismatch.
-[[nodiscard]] GoldenBundle read_golden_bundle_file(
-    const std::string& path, const soc::SocModel& model,
-    const CampaignConfig& config);
 
 }  // namespace ssresf::fi

@@ -380,7 +380,7 @@ namespace detail {
 
 /// Shared merge core: validates and K-way merges `paths` into `sink`
 /// (ascending global order), cross-checking every record against `prep`'s
-/// plan. Both merge_shard_files overloads and merge_record_files run on
+/// plan. merge_shard_files and merge_record_files both run on
 /// this. Returns the number of records streamed (== plan size on success).
 std::uint64_t stream_merged_records(const soc::SocModel& model,
                                     const CampaignConfig& config,

@@ -316,26 +316,15 @@ CampaignResult merge_shard_files(const soc::SocModel& model,
                                  const CampaignConfig& config,
                                  const radiation::SoftErrorDatabase& db,
                                  const std::vector<std::string>& paths) {
-  // The merge coordinator re-derives the plan (golden run, clustering,
-  // sampling) but never simulates an injection, so it skips the golden
-  // replay + checkpoint ladder and holds exactly one record vector — the
-  // result's — while the shard files stream through.
-  return merge_shard_files(
-      model, config, db,
-      detail::prepare_campaign(model, config, db, /*for_execution=*/false),
-      paths);
-}
-
-CampaignResult merge_shard_files(const soc::SocModel& model,
-                                 const CampaignConfig& config,
-                                 const radiation::SoftErrorDatabase& db,
-                                 detail::CampaignPrep&& prep,
-                                 const std::vector<std::string>& paths) {
-  // Thin collecting wrapper over the streaming merge core: the K-way merge
-  // in fi/record_store.cpp does every validation (digest, plan cross-check,
-  // duplicates, coverage) and streams records in ascending order into the
-  // plan-sized vector, which then finalizes exactly as before.
+  // The merge re-derives the plan (golden run, clustering, sampling) but
+  // never simulates an injection, so it skips the golden replay +
+  // checkpoint ladder. Thin collecting wrapper over the streaming merge
+  // core: the K-way merge in fi/record_store.cpp does every validation
+  // (digest, plan cross-check, duplicates, coverage) and streams records in
+  // ascending order into the plan-sized vector, which then finalizes.
   util::Timer timer;
+  detail::CampaignPrep prep =
+      detail::prepare_campaign(model, config, db, /*for_execution=*/false);
   VectorSink sink(prep.plan.size());
   detail::stream_merged_records(model, config, prep, paths, sink);
   CampaignResult result = detail::finalize_campaign(model, config, db,

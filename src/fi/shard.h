@@ -134,12 +134,4 @@ class ShardFileReader {
     const radiation::SoftErrorDatabase& database,
     const std::vector<std::string>& paths);
 
-/// merge_shard_files over an already-prepared campaign — a coordinator that
-/// prepared once to extract the golden bundle reuses its prep here instead
-/// of re-deriving the plan a second time.
-[[nodiscard]] CampaignResult merge_shard_files(
-    const soc::SocModel& model, const CampaignConfig& config,
-    const radiation::SoftErrorDatabase& database, detail::CampaignPrep&& prep,
-    const std::vector<std::string>& paths);
-
 }  // namespace ssresf::fi

@@ -165,7 +165,7 @@ fi::CampaignStats Coordinator::run_impl(fi::RecordSink* user_sink,
   const auto record_digest = [](const fi::ShardRecord& r) {
     util::ByteWriter w;
     fi::encode_records(w, std::span<const fi::ShardRecord>(&r, 1));
-    return fnv1a(w.data());
+    return util::fnv1a(w.data());
   };
 
   fi::RecordBatch accepted;
@@ -603,7 +603,7 @@ fi::CampaignStats Coordinator::run_impl(fi::RecordSink* user_sink,
               mirror.push_back(encode_journal_entry(msg.start, msg.records));
               broadcast_entry();
             }
-            c.last_records_digest = fnv1a(frame.payload);
+            c.last_records_digest = util::fnv1a(frame.payload);
             c.state = ConnState::kIdle;
             break;
           }

@@ -100,11 +100,19 @@ QuarantineReason FleetMonitor::on_heartbeat(
     return QuarantineReason::kNone;
   }
 
-  // Welford update with this chunk's simulation time.
+  // Welford update with this chunk's cost per simulated cycle. Raw chunk
+  // seconds would judge the faults a worker happened to draw, not the
+  // worker: an injection that early- or masked-exits costs a tenth of one
+  // that runs out the workload. A heartbeat without a cycle count (0) is
+  // judged on its seconds alone.
+  const std::uint64_t cycles =
+      std::max<std::uint64_t>(heartbeat.last_chunk_cycles, 1);
+  const double cost =
+      heartbeat.last_chunk_seconds / static_cast<double>(cycles);
   worker.n += 1;
-  const double delta = heartbeat.last_chunk_seconds - worker.mean;
+  const double delta = cost - worker.mean;
   worker.mean += delta / static_cast<double>(worker.n);
-  worker.m2 += delta * (heartbeat.last_chunk_seconds - worker.mean);
+  worker.m2 += delta * (cost - worker.mean);
 
   if (worker.n < static_cast<std::uint64_t>(options_.min_worker_samples)) {
     return QuarantineReason::kNone;
@@ -121,10 +129,16 @@ QuarantineReason FleetMonitor::on_heartbeat(
     return QuarantineReason::kNone;
   }
   const double variance = rest.m2 / static_cast<double>(rest.n);
-  // Floor the spread at 10% of the fleet mean: a near-uniform fleet must not
-  // flag millisecond jitter as a multi-sigma outlier.
+  // Floor the spread at 75% of the fleet mean, so at the default sigma_limit
+  // only a worker over 4x slower per cycle than its peers is an outlier.
+  // Healthy workers sharing a host drift far beyond a tight fleet's variance:
+  // over 30 clean 4-worker checksum fleets on one 4-core host, a worker's
+  // first chunks (cold caches, a timeslice lost to a sibling) reached 2.9x
+  // the rest of the fleet's mean cost per cycle. Pull-based dispatch already
+  // gives a slower worker fewer chunks, so only a pathological one is worth
+  // refusing.
   const double spread =
-      std::max({std::sqrt(variance), 0.1 * rest.mean, 1e-9});
+      std::max({std::sqrt(variance), 0.75 * rest.mean, 1e-9});
   const double z = (worker.mean - rest.mean) / spread;
   if (z > options_.sigma_limit) {
     if (try_quarantine(worker, QuarantineReason::kSlow)) {
@@ -174,10 +188,12 @@ std::string FleetMonitor::status_table() const {
   std::ostringstream out;
   out << "worker            connects  chunks  records     mean-chunk  status\n";
   for (const auto& [id, w] : workers_) {
+    const double mean_chunk =
+        w.chunks > 0 ? w.total_seconds / static_cast<double>(w.chunks) : 0.0;
     out << std::left << std::setw(16) << id << "  " << std::right
         << std::setw(8) << w.connects << "  " << std::setw(6) << w.chunks
         << "  " << std::setw(7) << w.records << "  " << std::setw(11)
-        << std::fixed << std::setprecision(4) << w.mean << "s  "
+        << std::fixed << std::setprecision(4) << mean_chunk << "s  "
         << to_string(w.reason) << "\n";
   }
   if (workers_.empty()) out << "(no workers have connected)\n";

@@ -10,18 +10,22 @@ namespace ssresf::net {
 
 /// Fleet health telemetry: the coordinator feeds every connect and heartbeat
 /// into a FleetMonitor, which maintains per-worker counters plus an online
-/// mean/variance (Welford) of per-chunk simulation time, and quarantines
-/// workers that misbehave:
+/// mean/variance (Welford) of per-chunk simulation cost — seconds per
+/// simulated clock cycle, so a worker is judged on its speed rather than on
+/// how expensive its faults happened to be — and quarantines workers that
+/// misbehave:
 ///
 ///   - kDigestMismatch: the heartbeat's records digest disagrees with what
 ///     the coordinator actually accepted — the worker's view of its own
 ///     output is wrong, so none of its future output can be trusted.
 ///   - kFlapping: reconnected more times than the flap limit — likely
 ///     crash-looping; its chunks are better spent elsewhere.
-///   - kSlow: mean chunk time is a z-score outlier against the rest of the
+///   - kSlow: mean chunk cost is a z-score outlier against the rest of the
 ///     fleet (each candidate is judged against the *other* workers'
 ///     accumulators, merged by Chan's parallel-variance formula — including
 ///     the candidate's own samples would inflate the variance and hide it).
+///     The spread is floored at 75% of the fleet mean, so at the default
+///     sigma_limit a worker must be over 4x slower per cycle to qualify.
 ///
 /// Quarantine is an admission decision, not a correctness one: records
 /// already accepted from a worker stay (determinism makes them as good as
@@ -35,7 +39,7 @@ namespace ssresf::net {
 struct HealthOptions {
   /// Reconnects (beyond the first connect) tolerated before kFlapping.
   int flap_limit = 5;
-  /// z-score beyond which a worker's mean chunk time is an outlier.
+  /// z-score beyond which a worker's mean chunk cost is an outlier.
   double sigma_limit = 4.0;
   /// Minimum per-chunk samples from the *rest* of the fleet before the
   /// slow-worker detector can fire (a z-score against two samples is noise).
@@ -62,7 +66,8 @@ struct WorkerHealth {
   /// Live TCP session right now (set on admitted connect, cleared by
   /// on_disconnect). The last-healthy guard counts only connected workers.
   bool connected = false;
-  // Welford accumulator over per-chunk simulation seconds.
+  // Welford accumulator over per-chunk cost (seconds per simulated cycle;
+  // plain seconds for heartbeats that carry no cycle count).
   std::uint64_t n = 0;
   double mean = 0.0;
   double m2 = 0.0;

@@ -29,10 +29,6 @@ double get_f64(util::ByteReader& in) {
 
 }  // namespace
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> data) {
-  return util::fnv1a(data);
-}
-
 std::vector<std::uint8_t> encode_frame(MsgType type,
                                        std::span<const std::uint8_t> payload) {
   if (payload.size() > kMaxFramePayload) {
@@ -44,7 +40,7 @@ std::vector<std::uint8_t> encode_frame(MsgType type,
   out.u8(static_cast<std::uint8_t>(type));
   const auto len = static_cast<std::uint32_t>(payload.size());
   for (int i = 0; i < 4; ++i) out.u8(static_cast<std::uint8_t>(len >> (8 * i)));
-  out.fixed64(fnv1a(payload));
+  out.fixed64(util::fnv1a(payload));
   out.bytes(payload.data(), payload.size());
   return out.take();
 }
@@ -87,7 +83,7 @@ bool recv_frame(util::Socket& socket, Frame& out) {
   if (len > 0 && !socket.recv_all(out.payload.data(), len)) {
     throw Error("net: connection closed inside a frame");
   }
-  if (fnv1a(out.payload) != digest) {
+  if (util::fnv1a(out.payload) != digest) {
     throw InvalidArgument("net: frame payload digest mismatch (corrupt or "
                           "truncated stream)");
   }
@@ -180,7 +176,7 @@ bool recv_frame_deadline(util::Socket& socket, Frame& out,
     (void)recv_exact_by(socket, out.payload.data(), len, deadline,
                         deadline_seconds, /*allow_clean_eof=*/false);
   }
-  if (fnv1a(out.payload) != digest) {
+  if (util::fnv1a(out.payload) != digest) {
     throw InvalidArgument("net: frame payload digest mismatch (corrupt or "
                           "truncated stream)");
   }
@@ -329,6 +325,7 @@ void HeartbeatMsg::encode(util::ByteWriter& out) const {
   out.varint(chunks_done);
   out.varint(records_produced);
   put_f64(out, last_chunk_seconds);
+  out.varint(last_chunk_cycles);
   put_f64(out, total_seconds);
   out.fixed64(last_records_digest);
 }
@@ -339,6 +336,7 @@ HeartbeatMsg HeartbeatMsg::decode(util::ByteReader& in) {
   msg.chunks_done = in.varint();
   msg.records_produced = in.varint();
   msg.last_chunk_seconds = get_f64(in);
+  msg.last_chunk_cycles = in.varint();
   msg.total_seconds = get_f64(in);
   msg.last_records_digest = in.fixed64();
   return msg;

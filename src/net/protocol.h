@@ -22,7 +22,7 @@ namespace ssresf::net {
 /// version-skewed stream fails loudly instead of decoding into a silently
 /// wrong campaign. Payloads reuse the util/bytes.h LEB128 codecs, the
 /// fi/shard.h record codec, and the fi/golden_bundle.h golden-work codec —
-/// the same byte formats the .ssfs / .ssgb files use on disk.
+/// the record format is the one .ssfs files use on disk.
 ///
 /// Version 2 added the authenticated hello/challenge handshake (net/auth.h),
 /// worker heartbeat telemetry, and coordinator-failover redirects.
@@ -38,7 +38,12 @@ namespace ssresf::net {
 /// see serve/predict_server.h) and the worker's advertised peer host in
 /// kHello (multi-host fleets behind NAT report the address peers should
 /// dial instead of whatever the accept() socket saw).
-inline constexpr std::uint8_t kProtocolVersion = 4;
+///
+/// Version 5 added the simulated clock cycles of the last chunk to
+/// kHeartbeat, so the fleet monitor judges a worker's speed per cycle of
+/// work done rather than per chunk (early and masked exits make one
+/// injection cost 2 ms or 60 ms depending on the fault, not the worker).
+inline constexpr std::uint8_t kProtocolVersion = 5;
 
 /// Frames over 1 GiB are rejected before allocation: no golden bundle or
 /// record batch comes close, so a larger length is a corrupt or hostile
@@ -72,8 +77,6 @@ struct Frame {
   MsgType type = MsgType::kError;
   std::vector<std::uint8_t> payload;
 };
-
-[[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> data);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     MsgType type, std::span<const std::uint8_t> payload);
@@ -181,6 +184,7 @@ struct HeartbeatMsg {
   std::uint64_t chunks_done = 0;
   std::uint64_t records_produced = 0;
   double last_chunk_seconds = 0.0;  // simulation wall time of the last chunk
+  std::uint64_t last_chunk_cycles = 0;  // clock cycles that chunk simulated
   double total_seconds = 0.0;
   std::uint64_t last_records_digest = 0;  // fnv1a of the last kRecords payload
 

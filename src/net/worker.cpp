@@ -607,8 +607,9 @@ Worker::SessionEnd Worker::run_session(SessionState& state, std::string& host,
     std::iota(owned.begin(), owned.end(),
               static_cast<std::size_t>(work.start));
     util::Timer chunk_timer;
+    std::uint64_t chunk_cycles = 0;
     fi::detail::execute_injections(*state.model, state.config, prep, owned,
-                                   state.records);
+                                   state.records, &chunk_cycles);
     const double chunk_seconds = options_.chunk_seconds_override >= 0.0
                                      ? options_.chunk_seconds_override
                                      : chunk_timer.seconds();
@@ -632,8 +633,9 @@ Worker::SessionEnd Worker::run_session(SessionState& state, std::string& host,
     heartbeat.chunks_done = state.chunks_done;
     heartbeat.records_produced = state.produced;
     heartbeat.last_chunk_seconds = chunk_seconds;
+    heartbeat.last_chunk_cycles = chunk_cycles;
     heartbeat.total_seconds = state.total_seconds;
-    heartbeat.last_records_digest = fnv1a(records_payload);
+    heartbeat.last_records_digest = util::fnv1a(records_payload);
     if (options_.corrupt_heartbeat_digest) {
       heartbeat.last_records_digest ^= 1;
     }

@@ -15,8 +15,8 @@ namespace ssresf::util {
 /// directory is fsynced after the rename so the publication itself survives
 /// power loss too.
 ///
-/// Every on-disk artifact the pipeline persists (.ssfs shards, .ssgb golden
-/// bundles, .ssmd/.ssds model/dataset bundles, the .ssjl journal header)
+/// Every on-disk artifact the pipeline persists (.ssfs shards, .ssmd/.ssds
+/// model/dataset bundles, the .ssjl journal header)
 /// goes through this helper: the strict readers may reject a *stale* file
 /// after a crash, but never a torn one.
 ///

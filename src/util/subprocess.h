@@ -6,10 +6,9 @@
 namespace ssresf::util {
 
 /// Minimal POSIX subprocess wrapper: spawn an argv vector, wait for exit.
-/// This is the process-level analogue of ThreadPool — the distributed
-/// campaign coordinator uses it to fan shards out to worker processes (one
-/// `ssresf_campaign --shard k/N` child per shard) and join them before
-/// merging their shard files.
+/// This is the process-level analogue of ThreadPool — `ssresf --workers N`
+/// uses it to spawn N local `ssresf worker` processes against its loopback
+/// coordinator and reap them once the campaign completes.
 class Subprocess {
  public:
   Subprocess() = default;

@@ -12,13 +12,14 @@
 #include <fstream>
 #include <future>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <type_traits>
 
 #include "core/scenario.h"
 #include "fi/campaign_exec.h"
-#include "fi/golden_bundle.h"
 #include "fi/shard.h"
 #include "net/auth.h"
 #include "net/chaos.h"
@@ -527,55 +528,6 @@ TEST(FleetJournal, TruncatedHeaderIsRejectedWithByteCounts) {
   std::remove(path.c_str());
 }
 
-// --- golden bundle file corruption (satellite of the same robustness story) ---
-
-TEST(FleetJournal, CorruptGoldenBundleFileNamesTheOffset) {
-  const net::CampaignSpec spec = small_spec();
-  const soc::SocModel model = net::build_model(spec);
-  const auto db = radiation::SoftErrorDatabase::default_database();
-  fi::detail::CampaignPrep prep = fi::detail::prepare_campaign(
-      model, spec.config, db, /*for_execution=*/true);
-  const std::string path = testing::TempDir() + "/ssresf_corrupt.ssgb";
-  fi::write_golden_bundle_file(
-      path, model, spec.config,
-      fi::extract_golden_bundle(model, spec.config, prep));
-
-  // Bit flip deep inside the encoded trace: decode must fail and name where.
-  std::vector<std::uint8_t> bytes = slurp(path);
-  ASSERT_GT(bytes.size(), 200u);
-  bytes[bytes.size() / 2] ^= 0x04;
-  spit(path, bytes);
-  try {
-    (void)fi::read_golden_bundle_file(path, model, spec.config);
-    // A flipped logic-value bit may still decode to a *valid* value; the
-    // strict structural checks make that overwhelmingly unlikely here, but
-    // if it decodes, the trace/ladder cross-checks downstream still guard
-    // correctness. Either way a throw with an offset is the expected path.
-  } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos)
-        << e.what();
-  }
-
-  // Truncation mid-stream: rejected, never silently partial.
-  bytes.resize(bytes.size() / 3);
-  spit(path, bytes);
-  EXPECT_THROW((void)fi::read_golden_bundle_file(path, model, spec.config),
-               InvalidArgument);
-
-  // Digest mismatch names both digests.
-  try {
-    std::remove(path.c_str());
-    fi::write_golden_bundle_file(
-        path, model, spec.config,
-        fi::extract_golden_bundle(model, spec.config, prep));
-    (void)fi::read_golden_bundle_file(path, model, small_spec(18).config);
-    FAIL() << "expected a digest mismatch";
-  } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("0x"), std::string::npos) << e.what();
-  }
-  std::remove(path.c_str());
-}
-
 // --- fleet health / quarantine ------------------------------------------------
 
 TEST(FleetHealth, SlowOutlierIsQuarantinedAgainstTheRestOfTheFleet) {
@@ -612,6 +564,86 @@ TEST(FleetHealth, SlowOutlierIsQuarantinedAgainstTheRestOfTheFleet) {
   EXPECT_FALSE(monitor.on_connect(3));
   // The status table names it.
   EXPECT_NE(monitor.status_table().find("slow"), std::string::npos);
+}
+
+// Heartbeats of a clean fleet, recorded from `ssresf simulate --scenario
+// examples/scenarios/checksum.yaml --workers 4` on one 4-core host: worker,
+// chunk wall time (ms), simulated cycles. One injection per chunk, so chunk
+// time is bimodal — about 4 ms for the 8-cycle injections that exit early,
+// 40-70 ms for the 100-200-cycle ones — while cost per cycle stays within
+// ~3x. Judged on raw chunk seconds, this trace quarantined workers 1 and 3.
+struct TracedBeat {
+  std::uint64_t worker;
+  double ms;
+  std::uint64_t cycles;
+};
+constexpr TracedBeat kCleanChecksumFleet[] = {
+      {1, 4.499, 8}, {2, 3.487, 8}, {2, 4.835, 16}, {1, 6.962, 8},
+      {3, 3.902, 8}, {4, 4.080, 8}, {2, 2.592, 8}, {2, 2.404, 8},
+      {1, 5.248, 8}, {3, 4.927, 8}, {2, 2.655, 8}, {4, 7.710, 19},
+      {2, 3.599, 8}, {2, 3.209, 8}, {1, 38.937, 67}, {1, 4.515, 8},
+      {3, 47.056, 107}, {1, 4.179, 8}, {4, 46.675, 123}, {3, 4.717, 8},
+      {4, 4.180, 8}, {3, 4.728, 8}, {2, 52.591, 131}, {4, 15.492, 40},
+      {2, 10.425, 17}, {2, 6.036, 8}, {2, 11.295, 16}, {1, 44.502, 155},
+      {4, 39.334, 107}, {3, 70.500, 155}, {2, 54.792, 99}, {1, 61.989, 195},
+      {3, 28.751, 67}, {4, 49.024, 131}, {4, 4.112, 8}, {4, 4.252, 8},
+      {4, 4.324, 8}, {4, 4.325, 8}, {1, 23.717, 59}, {4, 4.130, 8},
+      {1, 3.966, 8}, {4, 3.965, 8}, {1, 2.932, 8}, {4, 3.910, 8},
+      {1, 3.702, 8}, {1, 3.740, 8}, {4, 4.023, 8}, {2, 49.474, 147},
+      {1, 3.129, 8}, {4, 4.174, 8}, {2, 4.079, 8}, {1, 2.618, 8},
+      {1, 2.531, 8}, {4, 4.162, 8}, {2, 4.523, 8}, {1, 3.426, 8},
+      {4, 4.089, 8}, {2, 4.002, 8}, {1, 4.467, 8}, {4, 3.967, 8},
+      {2, 4.244, 8}, {1, 3.807, 8}, {4, 4.043, 8}, {2, 5.870, 8},
+      {1, 4.179, 8}, {4, 4.401, 8}, {4, 4.031, 8}, {2, 6.370, 8},
+      {1, 6.304, 16}, {3, 68.185, 187}, {4, 4.204, 8}, {3, 3.437, 8},
+      {1, 4.639, 8}, {2, 6.163, 8}, {3, 3.112, 8}, {4, 4.123, 8},
+      {1, 4.561, 8}, {2, 4.114, 8}, {3, 3.257, 8}, {4, 4.143, 8},
+      {1, 4.350, 8}, {3, 4.393, 8}, {4, 4.189, 8}, {2, 5.771, 8}};
+
+/// Replays the trace into `monitor` (every worker connected first), with
+/// `slow_worker`'s chunk times scaled by `factor`; returns the workers the
+/// monitor quarantined.
+std::set<std::uint64_t> replay_fleet(net::FleetMonitor& monitor,
+                                     std::uint64_t slow_worker = 0,
+                                     double factor = 1.0) {
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    EXPECT_TRUE(monitor.on_connect(id));
+  }
+  std::map<std::uint64_t, std::uint64_t> chunks;
+  std::set<std::uint64_t> quarantined;
+  for (const TracedBeat& beat : kCleanChecksumFleet) {
+    if (quarantined.count(beat.worker) != 0) continue;
+    net::HeartbeatMsg hb;
+    hb.worker_id = beat.worker;
+    hb.chunks_done = ++chunks[beat.worker];
+    hb.records_produced = hb.chunks_done;
+    hb.last_chunk_seconds =
+        beat.ms * 1e-3 * (beat.worker == slow_worker ? factor : 1.0);
+    hb.last_chunk_cycles = beat.cycles;
+    hb.last_records_digest = 0x77;
+    if (monitor.on_heartbeat(hb, 0x77) != net::QuarantineReason::kNone) {
+      quarantined.insert(beat.worker);
+    }
+  }
+  return quarantined;
+}
+
+TEST(FleetHealth, CleanFleetWithBimodalChunkTimesIsNeverQuarantined) {
+  net::FleetMonitor monitor;
+  EXPECT_TRUE(replay_fleet(monitor).empty()) << monitor.status_table();
+  EXPECT_EQ(monitor.healthy_count(), 4u);
+}
+
+TEST(FleetHealth, SlowWorkerInARecordedFleetIsStillQuarantined) {
+  // The same real trace with one worker 8x slower per cycle: the per-cycle
+  // judgement must still single it out, and only it.
+  for (std::uint64_t slow = 1; slow <= 4; ++slow) {
+    net::FleetMonitor monitor;
+    EXPECT_EQ(replay_fleet(monitor, slow, 8.0), std::set<std::uint64_t>{slow})
+        << "slow worker " << slow << "\n"
+        << monitor.status_table();
+    EXPECT_TRUE(monitor.quarantined(slow));
+  }
 }
 
 TEST(FleetHealth, DigestMismatchIsQuarantinedImmediately) {
@@ -949,7 +981,7 @@ TEST(FleetCrashSafety, AtomicWriteLeavesTheOldFileOrNoFileOnCrash) {
 }
 
 TEST(FleetCrashSafety, KilledShardOverwriteLeavesTheOldFileReadable) {
-  // Every artifact writer (.ssfs shard, .ssgb bundle, .ssmd model) publishes
+  // Every artifact writer (.ssfs shard, .ssmd model) publishes
   // through atomic_write_file; drive the seam against a real reader once.
   const std::string path = testing::TempDir() + "/ssresf_crash.ssfs";
   std::remove(path.c_str());

@@ -1,14 +1,17 @@
 // The unified SSRESF pipeline driver (Pipeline API v2).
 //
-// One binary, eight commands over the staged core::Session:
+// The only SSRESF command-line entry point: eight commands over the staged
+// core::Session.
 //   run          simulate -> build_dataset -> tune -> train -> predict
-//   simulate     dynamic-simulation phase only (campaign records artifact)
+//   simulate     dynamic-simulation phase only (campaign records artifact);
+//                with --shard K/N one shard file for an offline batch merge
 //   train        everything up to and including the trained model bundle
 //   predict      classify every node from a saved model bundle (.ssmd),
 //                locally or against a model-serve daemon (--connect)
 //   serve        run with the simulate stage served to socket workers
 //   worker       connect to a serving coordinator and simulate its chunks
 //   merge        merge .ssfs shard files into the scenario's records artifact
+//                (bounded-memory streaming merge with --record-format v2)
 //   model-serve  long-lived prediction daemon over a models/ directory of
 //                .ssmd bundles (SSNP + HTTP fronts, hot reload)
 //
@@ -19,18 +22,26 @@
 // resume from them, so `ssresf simulate` on one machine, `ssresf train` on a
 // second, and `ssresf predict` on a third compose into one pipeline.
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/features.h"
 #include "core/session.h"
+#include "fi/record_store.h"
+#include "fi/sensitivity.h"
 #include "fi/shard.h"
+#include "net/chaos.h"
 #include "net/worker.h"
 #include "serve/predict_client.h"
 #include "serve/predict_server.h"
@@ -59,8 +70,11 @@ struct Options {
   std::string model_file;    // predict: defaults to <out-dir>/<name>.ssmd
   bool cross_netlist = false;
   std::string records_csv;
+  std::string stats_csv;     // simulate/run/serve/merge: sensitivity CSV
   std::string predictions_csv;
   std::vector<std::string> merge_inputs;
+  int shard_index = 0;       // simulate --shard K/N: K
+  int shard_count = 0;       // simulate --shard K/N: N (0 = whole campaign)
   // --- fleet fault tolerance -------------------------------------------------
   std::string secret;        // overrides the scenario's fleet.secret
   bool secret_set = false;
@@ -75,6 +89,7 @@ struct Options {
   std::string promoted_csv;        // worker: final CSV if this worker promotes
   std::string advertise_addr;      // worker: host peers dial for the listener
   bool advertise_set = false;
+  std::optional<net::ChaosSchedule> chaos;  // worker --chaos
   // --- model serving ---------------------------------------------------------
   std::string models_dir;          // model-serve: registry directory
   int http_port = 0;               // model-serve: HTTP front port
@@ -121,6 +136,12 @@ void usage(std::FILE* out) {
       "run / simulate / train / serve:\n"
       "  --workers N         delegate simulation to N spawned socket workers\n"
       "  --records-csv PATH  write per-injection campaign records as CSV\n"
+      "run / simulate / serve / merge:\n"
+      "  --stats-csv PATH    write the cluster/class/chip sensitivity\n"
+      "                      statistics CSV\n"
+      "simulate:\n"
+      "  --shard K/N         simulate only shard K (0-based) of N and write\n"
+      "                      <out-dir>/<name>.shard-K-of-N.ssfs for merge\n"
       "run / train / serve:\n"
       "  --publish DIR       also write the trained bundle into DIR (a\n"
       "                      model-serve registry picks it up on its next\n"
@@ -169,6 +190,11 @@ void usage(std::FILE* out) {
       "                      fleet.advertise_addr; empty = the address the\n"
       "                      coordinator saw; setting it widens the peer\n"
       "                      listener bind beyond loopback)\n"
+      "  --chaos SEED:COUNT[:FIRST[:SPAN]]\n"
+      "                      seeded fault schedule at this worker's frame-\n"
+      "                      send seam: COUNT faults (drop, garble, truncate,\n"
+      "                      delay) at op indices in [FIRST, FIRST+SPAN)\n"
+      "                      (defaults 1, 64); records stay byte-identical\n"
       "fleet (serve / worker / run with --workers):\n"
       "  --secret S          handshake secret (overrides fleet.secret)\n"
       "  --connect-timeout S worker connect retry window, seconds (> 0)\n"
@@ -176,6 +202,73 @@ void usage(std::FILE* out) {
       "merge:\n"
       "  positional          .ssfs shard files to merge\n",
       out);
+}
+
+// Upper bounds of the numeric flags: wide enough for any real deployment,
+// small enough that a typo cannot ask for a million threads or a timeout
+// that overflows the clock arithmetic.
+constexpr int kMaxThreads = 1024;
+constexpr int kMaxWorkers = 256;
+constexpr int kMaxShards = 1 << 20;
+constexpr double kMaxSeconds = 1e6;
+constexpr double kMinTimeoutSeconds = 1e-3;
+
+/// Parses all of `text` as a T in [lo, hi]. Trailing junk ("2x"), a sign an
+/// unsigned value cannot take, overflow, and out-of-range values are all
+/// errors that name `flag`.
+template <typename T>
+[[nodiscard]] T parse_number(const std::string& flag, const std::string& text,
+                             T lo, T hi) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end || !(value >= lo) ||
+      !(value <= hi)) {
+    std::string range;
+    if constexpr (std::is_integral_v<T>) {
+      range = "an integer in [" + std::to_string(lo) + ", " +
+              std::to_string(hi) + "]";
+    } else {
+      range = util::format("a number in [%g, %g]", lo, hi);
+    }
+    throw InvalidArgument(flag + " expects " + range + ", got '" + text + "'");
+  }
+  return value;
+}
+
+[[nodiscard]] std::uint16_t parse_port(const std::string& flag,
+                                       const std::string& text, int lo = 0) {
+  return static_cast<std::uint16_t>(parse_number(flag, text, lo, 65535));
+}
+
+/// Splits "HOST:PORT" (the last ':' wins, so IPv6-ish hosts still parse).
+[[nodiscard]] std::pair<std::string, std::uint16_t> parse_host_port(
+    const std::string& addr) {
+  const std::size_t colon = addr.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 == addr.size()) {
+    throw InvalidArgument("--connect expects HOST:PORT, got '" + addr + "'");
+  }
+  return {addr.substr(0, colon),
+          parse_port("--connect port", addr.substr(colon + 1), 1)};
+}
+
+/// "SEED:COUNT[:FIRST[:SPAN]]" -> a seeded ChaosSchedule, so CI can run real
+/// multi-process campaigns with chaotic workers and byte-diff the records.
+[[nodiscard]] net::ChaosSchedule parse_chaos_schedule(const std::string& text) {
+  const std::vector<std::string> fields = util::split(text, ':');
+  if (fields.size() < 2 || fields.size() > 4) {
+    throw InvalidArgument("--chaos expects SEED:COUNT[:FIRST[:SPAN]], got '" +
+                          text + "'");
+  }
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
+  const auto field = [&](std::size_t k, std::uint64_t fallback,
+                         std::uint64_t lo, std::uint64_t hi) {
+    return k < fields.size() ? parse_number("--chaos", fields[k], lo, hi)
+                             : fallback;
+  };
+  return net::ChaosSchedule::from_seed(
+      field(0, 0, 0, kAny), static_cast<std::size_t>(field(1, 0, 0, 4096)),
+      field(2, 1, 0, kAny), field(3, 64, 1, kAny));
 }
 
 [[nodiscard]] Options parse_options(int argc, char** argv) {
@@ -214,10 +307,14 @@ void usage(std::FILE* out) {
     } else if (arg == "--progress") {
       opt.progress = true;
     } else if (arg == "--threads") {
-      opt.threads = std::stoi(need_value(i));
+      opt.threads = parse_number(arg, need_value(i), 1, kMaxThreads);
       opt.threads_set = true;
     } else if (arg == "--lanes") {
-      opt.lanes = std::stoi(need_value(i));
+      opt.lanes = parse_number(arg, need_value(i), 64, 256);
+      if (opt.lanes != 64 && opt.lanes != 256) {
+        throw InvalidArgument("--lanes expects 64 or 256, got " +
+                              std::to_string(opt.lanes));
+      }
     } else if (arg == "--record-format") {
       const std::string format = need_value(i);
       if (format == "v1") {
@@ -229,13 +326,9 @@ void usage(std::FILE* out) {
                               "'");
       }
     } else if (arg == "--workers") {
-      opt.workers = std::stoi(need_value(i));
-      if (opt.workers < 1) throw InvalidArgument("--workers must be >= 1");
+      opt.workers = parse_number(arg, need_value(i), 1, kMaxWorkers);
     } else if (arg == "--port") {
-      opt.port = std::stoi(need_value(i));
-      if (opt.port < 0 || opt.port > 65535) {
-        throw InvalidArgument("--port expects a port in [0, 65535]");
-      }
+      opt.port = parse_port(arg, need_value(i));
     } else if (arg == "--connect") {
       opt.connect = need_value(i);
     } else if (arg == "--model") {
@@ -244,61 +337,54 @@ void usage(std::FILE* out) {
       opt.cross_netlist = true;
     } else if (arg == "--records-csv") {
       opt.records_csv = need_value(i);
+    } else if (arg == "--stats-csv") {
+      opt.stats_csv = need_value(i);
+    } else if (arg == "--shard") {
+      const std::string shard = need_value(i);
+      const std::size_t slash = shard.find('/');
+      if (slash == std::string::npos) {
+        throw InvalidArgument("--shard expects K/N, got '" + shard + "'");
+      }
+      opt.shard_count =
+          parse_number(arg + " N", shard.substr(slash + 1), 1, kMaxShards);
+      opt.shard_index = parse_number(arg + " K", shard.substr(0, slash), 0,
+                                     opt.shard_count - 1);
     } else if (arg == "--predictions-csv") {
       opt.predictions_csv = need_value(i);
     } else if (arg == "--secret") {
       opt.secret = need_value(i);
       opt.secret_set = true;
     } else if (arg == "--connect-timeout") {
-      opt.connect_timeout = std::stod(need_value(i));
-      if (opt.connect_timeout <= 0) {
-        throw InvalidArgument("--connect-timeout must be positive, got " +
-                              std::to_string(opt.connect_timeout));
-      }
+      opt.connect_timeout = parse_number(arg, need_value(i),
+                                         kMinTimeoutSeconds, kMaxSeconds);
     } else if (arg == "--worker-timeout") {
-      opt.worker_timeout = std::stod(need_value(i));
-      if (opt.worker_timeout <= 0) {
-        throw InvalidArgument("--worker-timeout must be positive, got " +
-                              std::to_string(opt.worker_timeout));
-      }
+      opt.worker_timeout = parse_number(arg, need_value(i),
+                                        kMinTimeoutSeconds, kMaxSeconds);
     } else if (arg == "--journal") {
       opt.journal = need_value(i);
     } else if (arg == "--fleet-status") {
       opt.fleet_status = true;
     } else if (arg == "--worker-id") {
-      opt.worker_id = std::stoull(need_value(i));
-      if (opt.worker_id == 0) {
-        throw InvalidArgument("--worker-id must be nonzero (0 = auto)");
-      }
+      // 0 means "derive one automatically", so it is not a valid explicit id.
+      opt.worker_id = parse_number(arg, need_value(i), std::uint64_t{1},
+                                   std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--election-timeout") {
-      opt.election_timeout = std::stod(need_value(i));
-      if (opt.election_timeout < 0) {
-        throw InvalidArgument("--election-timeout must be >= 0, got " +
-                              std::to_string(opt.election_timeout));
-      }
+      opt.election_timeout = parse_number(arg, need_value(i), 0.0, kMaxSeconds);
     } else if (arg == "--peer-port") {
-      opt.peer_port = std::stoi(need_value(i));
-      if (opt.peer_port < 0 || opt.peer_port > 65535) {
-        throw InvalidArgument("--peer-port expects a port in [0, 65535]");
-      }
+      opt.peer_port = parse_port(arg, need_value(i));
     } else if (arg == "--promoted-csv") {
       opt.promoted_csv = need_value(i);
     } else if (arg == "--advertise-addr") {
       opt.advertise_addr = need_value(i);
       opt.advertise_set = true;
+    } else if (arg == "--chaos") {
+      opt.chaos = parse_chaos_schedule(need_value(i));
     } else if (arg == "--models") {
       opt.models_dir = need_value(i);
     } else if (arg == "--http-port") {
-      opt.http_port = std::stoi(need_value(i));
-      if (opt.http_port < 0 || opt.http_port > 65535) {
-        throw InvalidArgument("--http-port expects a port in [0, 65535]");
-      }
+      opt.http_port = parse_port(arg, need_value(i));
     } else if (arg == "--reload-interval") {
-      opt.reload_interval = std::stod(need_value(i));
-      if (opt.reload_interval < 0) {
-        throw InvalidArgument("--reload-interval must be >= 0, got " +
-                              std::to_string(opt.reload_interval));
-      }
+      opt.reload_interval = parse_number(arg, need_value(i), 0.0, kMaxSeconds);
     } else if (arg == "--stats") {
       opt.stats = true;
     } else if (arg == "--model-alias") {
@@ -329,6 +415,26 @@ void usage(std::FILE* out) {
   }
   if (opt.command == "merge" && opt.merge_inputs.empty()) {
     throw InvalidArgument("merge requires shard files");
+  }
+  if (opt.chaos && opt.command != "worker") {
+    throw InvalidArgument("--chaos is only valid with worker");
+  }
+  if (!opt.stats_csv.empty() && opt.command != "simulate" &&
+      opt.command != "run" && opt.command != "serve" &&
+      opt.command != "merge") {
+    throw InvalidArgument("--stats-csv is only valid with simulate, run, "
+                          "serve, and merge");
+  }
+  if (opt.shard_count > 0) {
+    if (opt.command != "simulate") {
+      throw InvalidArgument("--shard is only valid with simulate");
+    }
+    // A shard holds a slice of the plan: whole-campaign outputs come from
+    // merging the shard files.
+    if (opt.workers > 0 || !opt.records_csv.empty() || !opt.stats_csv.empty()) {
+      throw InvalidArgument("--shard writes one shard file; --workers, "
+                            "--records-csv, and --stats-csv apply to merge");
+    }
   }
   return opt;
 }
@@ -372,11 +478,26 @@ class ProgressPrinter {
   bool counting_ = false;
 };
 
-void print_campaign_summary(const fi::CampaignResult& campaign) {
-  std::size_t errors = 0;
+void print_campaign_summary(std::uint64_t injections, std::uint64_t errors,
+                            double chip_ser_percent) {
+  std::printf("simulate: %llu injections, %llu soft errors, chip SER %.4f%%\n",
+              static_cast<unsigned long long>(injections),
+              static_cast<unsigned long long>(errors), chip_ser_percent);
+}
+
+/// --records-csv / --stats-csv outputs of a whole campaign, plus the summary
+/// line.
+void emit_campaign(const Options& opt, const fi::CampaignResult& campaign) {
+  if (!opt.records_csv.empty()) {
+    fi::write_records_csv(opt.records_csv, campaign.records);
+  }
+  if (!opt.stats_csv.empty()) {
+    fi::write_sensitivity_csv(opt.stats_csv, campaign);
+  }
+  std::uint64_t errors = 0;
   for (const auto& r : campaign.records) errors += r.soft_error ? 1 : 0;
-  std::printf("simulate: %zu injections, %zu soft errors, chip SER %.4f%%\n",
-              campaign.records.size(), errors, campaign.chip_ser_percent);
+  print_campaign_summary(campaign.records.size(), errors,
+                         campaign.chip_ser_percent);
 }
 
 void print_prediction_summary(const soc::SocModel& model,
@@ -497,10 +618,7 @@ int run_stage_command(const Options& opt, const std::string& self) {
   if (opt.command == "simulate") {
     const fi::CampaignResult& campaign = session.simulate();
     fleet.wait();
-    if (!opt.records_csv.empty()) {
-      fi::write_records_csv(opt.records_csv, campaign.records);
-    }
-    print_campaign_summary(campaign);
+    emit_campaign(opt, campaign);
     return 0;
   }
   if (opt.command == "train") {
@@ -519,11 +637,8 @@ int run_stage_command(const Options& opt, const std::string& self) {
   // run / serve: the full pipeline.
   const fi::CampaignResult& campaign = session.simulate();
   fleet.wait();
-  if (!opt.records_csv.empty()) {
-    fi::write_records_csv(opt.records_csv, campaign.records);
-  }
+  emit_campaign(opt, campaign);
   const core::SessionPrediction& prediction = session.predict();
-  print_campaign_summary(campaign);
   if (session.has_cv()) {
     std::printf("tune: cv accuracy %.2f%% (C=%.3g gamma=%.3g)\n",
                 100.0 * session.cv().mean_accuracy,
@@ -572,20 +687,11 @@ int run_predict_command(const Options& opt) {
 }
 
 int run_worker_command(const Options& opt) {
-  const std::size_t colon = opt.connect.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == opt.connect.size()) {
-    throw InvalidArgument("--connect expects HOST:PORT, got '" + opt.connect +
-                          "'");
-  }
-  const int port = std::stoi(opt.connect.substr(colon + 1));
-  if (port < 1 || port > 65535) {
-    throw InvalidArgument("--connect port must be in [1, 65535]");
-  }
+  const auto [host, port] = parse_host_port(opt.connect);
   const auto db = radiation::SoftErrorDatabase::default_database();
   net::WorkerOptions wopts;
-  wopts.host = opt.connect.substr(0, colon);
-  wopts.port = static_cast<std::uint16_t>(port);
+  wopts.host = host;
+  wopts.port = port;
   wopts.threads = opt.threads;
   if (opt.lanes != 0) wopts.lanes = opt.lanes;
   wopts.verbose = opt.progress;
@@ -612,6 +718,9 @@ int run_worker_command(const Options& opt) {
   if (opt.peer_port >= 0) {
     wopts.peer_port = static_cast<std::uint16_t>(opt.peer_port);
   }
+  // The worker consumes its schedule's events as they fire: give it a copy.
+  std::optional<net::ChaosSchedule> chaos = opt.chaos;
+  if (chaos) wopts.chaos = &*chaos;
   net::Worker worker(db, wopts);
   const std::uint64_t produced = worker.run();
   std::fprintf(stderr, "worker done: %llu records\n",
@@ -623,20 +732,6 @@ int run_worker_command(const Options& opt) {
                  opt.promoted_csv.c_str());
   }
   return 0;
-}
-
-/// Splits "HOST:PORT" (the last ':' wins, so IPv6-ish hosts still parse).
-[[nodiscard]] std::pair<std::string, std::uint16_t> parse_host_port(
-    const std::string& addr) {
-  const std::size_t colon = addr.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == addr.size()) {
-    throw InvalidArgument("--connect expects HOST:PORT, got '" + addr + "'");
-  }
-  const int port = std::stoi(addr.substr(colon + 1));
-  if (port < 1 || port > 65535) {
-    throw InvalidArgument("--connect port must be in [1, 65535]");
-  }
-  return {addr.substr(0, colon), static_cast<std::uint16_t>(port)};
 }
 
 /// `predict --connect`: classify the scenario's netlist against a running
@@ -738,6 +833,50 @@ int run_model_serve(const Options& opt) {
   return 0;
 }
 
+/// `simulate --shard K/N`: one slice of the plan (global indices i with
+/// i % N == K) for offline batch schedulers, written as a shard file that
+/// `merge` consumes. Records are byte-identical to the same indices of a
+/// whole-campaign run.
+int run_shard_command(const Options& opt) {
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  const core::ScenarioSpec spec =
+      core::ScenarioSpec::load_file(opt.scenario_file);
+  const soc::SocModel model = spec.build_model();
+  fi::CampaignConfig config = spec.campaign.config;
+  config.threads = opt.threads;
+  if (opt.lanes != 0) config.lanes = opt.lanes;
+  const fi::ShardSpec shard{opt.shard_index, opt.shard_count};
+  std::filesystem::create_directories(opt.out_dir);
+  const std::string path =
+      (std::filesystem::path(opt.out_dir) /
+       util::format("%s.shard-%d-of-%d.ssfs", spec.name.c_str(), shard.index,
+                    shard.count))
+          .string();
+  std::uint64_t records = 0;
+  if (opt.record_format == 2) {
+    // Streaming: records flow into the columnar store as they complete; the
+    // deferred-header writer picks up the shard metadata via begin().
+    fi::ColumnarFileWriter writer(path);
+    records = fi::run_campaign_shard(model, config, db, shard, writer);
+  } else {
+    const fi::ShardRunResult run =
+        fi::run_campaign_shard(model, config, db, shard);
+    fi::ShardFileMeta meta;
+    meta.seed = config.seed;
+    meta.shard_index = static_cast<std::uint32_t>(shard.index);
+    meta.shard_count = static_cast<std::uint32_t>(shard.count);
+    meta.total_injections = run.total_injections;
+    meta.config_digest = fi::campaign_config_digest(model, config);
+    meta.num_records = run.records.size();
+    fi::write_shard_file(path, meta, run.records);
+    records = run.records.size();
+  }
+  std::printf("simulate: shard %d/%d, %llu records -> %s\n", shard.index,
+              shard.count, static_cast<unsigned long long>(records),
+              path.c_str());
+  return 0;
+}
+
 int run_merge_command(const Options& opt) {
   const auto db = radiation::SoftErrorDatabase::default_database();
   core::ScenarioSpec spec = core::ScenarioSpec::load_file(opt.scenario_file);
@@ -746,16 +885,36 @@ int run_merge_command(const Options& opt) {
   options.resume = false;
   options.record_format = opt.record_format;
   core::Session session(std::move(spec), db, std::move(options));
-  fi::CampaignResult result =
-      fi::merge_shard_files(session.model(), session.scenario().campaign.config,
-                            db, opt.merge_inputs);
-  if (!opt.records_csv.empty()) {
-    fi::write_records_csv(opt.records_csv, result.records);
+  const fi::CampaignConfig& config = session.scenario().campaign.config;
+  if (opt.record_format == 2) {
+    // Bounded-memory streaming merge, the one CLI path whose record volume
+    // is unbounded: a K-way merge over any mix of v1/v2 inputs straight into
+    // the columnar records artifact, statistics from the streaming
+    // aggregator, and the CSV read back one chunk at a time — no plan-sized
+    // record vector anywhere.
+    fi::CampaignStats stats;
+    {
+      fi::ColumnarFileWriter writer(session.records_path());
+      stats = fi::merge_record_files(session.model(), config, db,
+                                     opt.merge_inputs, writer);
+    }
+    if (!opt.records_csv.empty()) {
+      const auto source = fi::open_record_source(session.records_path());
+      fi::write_records_csv(opt.records_csv, *source);
+    }
+    if (!opt.stats_csv.empty()) {
+      fi::write_sensitivity_csv(opt.stats_csv, stats);
+    }
+    print_campaign_summary(stats.num_records, stats.num_soft_errors,
+                           stats.chip_ser_percent);
+  } else {
+    fi::CampaignResult result =
+        fi::merge_shard_files(session.model(), config, db, opt.merge_inputs);
+    emit_campaign(opt, result);
+    // Persist as the scenario's records artifact so the later stages (train
+    // / predict) resume from the merged campaign.
+    session.adopt_campaign(std::move(result));
   }
-  print_campaign_summary(result);
-  // Persist as the scenario's records artifact so the later stages (train /
-  // predict) resume from the merged campaign.
-  session.adopt_campaign(std::move(result));
   std::printf("records artifact written to %s\n",
               session.records_path().c_str());
   return 0;
@@ -768,6 +927,7 @@ int main(int argc, char** argv) {
     const Options opt = parse_options(argc, argv);
     if (opt.command == "worker") return run_worker_command(opt);
     if (opt.command == "merge") return run_merge_command(opt);
+    if (opt.shard_count > 0) return run_shard_command(opt);
     if (opt.command == "model-serve") return run_model_serve(opt);
     if (opt.command == "predict") {
       return opt.connect.empty() ? run_predict_command(opt)
