@@ -309,16 +309,26 @@ Worker::ElectionOutcome Worker::run_election(SessionState& state,
   return ElectionOutcome::kPromoted;
 }
 
+std::string default_promote_journal_path(std::uint64_t campaign_digest,
+                                        std::uint64_t worker_id) {
+  char digest_hex[17];
+  std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
+                static_cast<unsigned long long>(campaign_digest));
+  return (std::filesystem::temp_directory_path() /
+          ("ssresf_promoted_" + std::string(digest_hex) + "_" +
+           std::to_string(::getpid()) + "_" + std::to_string(worker_id) +
+           ".ssjl"))
+      .string();
+}
+
 void Worker::promote(SessionState& state, std::string& host,
                      std::uint16_t& port) {
   const std::uint64_t epoch = state.known_epoch + 1;
-  std::string journal_path = options_.promote_journal_path;
-  if (journal_path.empty()) {
-    journal_path =
-        (std::filesystem::temp_directory_path() /
-         ("ssresf_promoted_" + std::to_string(options_.worker_id) + ".ssjl"))
-            .string();
-  }
+  const bool temp_journal = options_.promote_journal_path.empty();
+  const std::string journal_path =
+      temp_journal
+          ? default_promote_journal_path(state.digest, options_.worker_id)
+          : options_.promote_journal_path;
   // Persist the replica as a real journal. The Coordinator resumes from it
   // through the tolerant reader, re-queuing exactly the runs the dead
   // primary never mirrored to us (in particular its un-flushed tail).
@@ -341,9 +351,16 @@ void Worker::promote(SessionState& state, std::string& host,
   // polling our peer service can start connecting while we spin up.
   peers_->set_promoted(epoch, promoted_coordinator_->port());
   state.known_epoch = epoch;
-  promoted_thread_ = std::thread([this] {
+  promoted_thread_ = std::thread([this, temp_journal, journal_path] {
     try {
       promoted_result_ = promoted_coordinator_->run();
+      // The default journal is keyed by this process's id, so no later run
+      // can resume from it: once the campaign completes it is only litter.
+      // A failed run keeps it for inspection.
+      if (temp_journal) {
+        std::error_code ignored;
+        std::filesystem::remove(journal_path, ignored);
+      }
     } catch (const Error& e) {
       promoted_error_ = e.what();
     }

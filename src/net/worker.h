@@ -59,7 +59,8 @@ struct WorkerOptions {
   /// Budget of one peer-query round trip during an election round.
   double peer_timeout_seconds = 1.0;
   /// Where a promoted worker persists its replica as the new journal
-  /// ("" = "<tmp>/ssresf_promoted_<worker_id>.ssjl").
+  /// ("" = default_promote_journal_path, removed once the promoted
+  /// coordinator's run completes; an explicit path is kept).
   std::string promote_journal_path;
   /// Listener of the promoted coordinator (0 = ephemeral) and bind scope.
   std::uint16_t promote_port = 0;
@@ -120,6 +121,13 @@ class StaleCoordinator : public WorkerRejected {
 [[nodiscard]] double reconnect_backoff_seconds(std::uint64_t worker_id,
                                                int attempt, double base,
                                                double cap);
+
+/// The promoted journal used when WorkerOptions::promote_journal_path is
+/// empty: "<tmp>/ssresf_promoted_<digest>_<pid>_<worker_id>.ssjl", keyed by
+/// the campaign config digest (16 hex digits) and this process's id as well
+/// as the worker id, so fleets sharing a host never share a journal.
+[[nodiscard]] std::string default_promote_journal_path(
+    std::uint64_t campaign_digest, std::uint64_t worker_id);
 
 /// Campaign worker of the socket transport: connects, proves itself through
 /// the mutual hello/challenge handshake (net/auth.h), receives the campaign

@@ -1,40 +1,10 @@
 #include "netlist/cell_library.h"
 
-#include <array>
-
 #include "util/error.h"
 
 namespace ssresf::netlist {
 
 namespace {
-
-constexpr std::array<CellSpec, kNumCellKinds> kSpecs = {{
-    {"TIELO", CellKind::kConst0, 0, 1, false, 0},
-    {"TIEHI", CellKind::kConst1, 0, 1, false, 0},
-    {"BUFX1", CellKind::kBuf, 1, 1, false, 12},
-    {"INVX1", CellKind::kInv, 1, 1, false, 8},
-    {"AND2X1", CellKind::kAnd2, 2, 1, false, 16},
-    {"AND3X1", CellKind::kAnd3, 3, 1, false, 18},
-    {"AND4X1", CellKind::kAnd4, 4, 1, false, 20},
-    {"NAND2X1", CellKind::kNand2, 2, 1, false, 10},
-    {"NAND3X1", CellKind::kNand3, 3, 1, false, 12},
-    {"NAND4X1", CellKind::kNand4, 4, 1, false, 14},
-    {"OR2X1", CellKind::kOr2, 2, 1, false, 16},
-    {"OR3X1", CellKind::kOr3, 3, 1, false, 18},
-    {"OR4X1", CellKind::kOr4, 4, 1, false, 20},
-    {"NOR2X1", CellKind::kNor2, 2, 1, false, 10},
-    {"NOR3X1", CellKind::kNor3, 3, 1, false, 12},
-    {"NOR4X1", CellKind::kNor4, 4, 1, false, 14},
-    {"XOR2X1", CellKind::kXor2, 2, 1, false, 22},
-    {"XNOR2X1", CellKind::kXnor2, 2, 1, false, 22},
-    {"MUX2X1", CellKind::kMux2, 3, 1, false, 20},
-    {"AOI21X1", CellKind::kAoi21, 3, 1, false, 14},
-    {"OAI21X1", CellKind::kOai21, 3, 1, false, 14},
-    {"DFFX1", CellKind::kDff, 2, 2, true, 40},
-    {"DFFRX1", CellKind::kDffR, 3, 2, true, 40},
-    {"DFFREX1", CellKind::kDffE, 4, 2, true, 40},
-    {"SSRESF_MEM", CellKind::kMemory, 0, 0, true, 60},
-}};
 
 constexpr std::string_view kDffInputs[] = {"D", "CK", "RN", "EN"};
 constexpr std::string_view kDffOutputs[] = {"Q", "QN"};
@@ -43,16 +13,12 @@ constexpr std::string_view kMuxInputs[] = {"S", "A", "B"};
 
 }  // namespace
 
-const CellSpec& spec(CellKind kind) {
-  const auto index = static_cast<std::size_t>(kind);
-  if (index >= kSpecs.size()) {
-    throw InvalidArgument("unknown cell kind");
-  }
-  return kSpecs[index];
+void detail::throw_unknown_cell_kind() {
+  throw InvalidArgument("unknown cell kind");
 }
 
 std::optional<CellKind> kind_from_name(std::string_view name) {
-  for (const auto& s : kSpecs) {
+  for (const auto& s : detail::kCellSpecs) {
     if (s.lib_name == name) return s.kind;
   }
   return std::nullopt;

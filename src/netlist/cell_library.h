@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -51,8 +52,55 @@ struct CellSpec {
   int delay_ps;               // intrinsic propagation (or clk->q) delay
 };
 
-/// Static description of a cell kind.
-[[nodiscard]] const CellSpec& spec(CellKind kind);
+namespace detail {
+inline constexpr std::array<CellSpec, kNumCellKinds> kCellSpecs = {{
+    {"TIELO", CellKind::kConst0, 0, 1, false, 0},
+    {"TIEHI", CellKind::kConst1, 0, 1, false, 0},
+    {"BUFX1", CellKind::kBuf, 1, 1, false, 12},
+    {"INVX1", CellKind::kInv, 1, 1, false, 8},
+    {"AND2X1", CellKind::kAnd2, 2, 1, false, 16},
+    {"AND3X1", CellKind::kAnd3, 3, 1, false, 18},
+    {"AND4X1", CellKind::kAnd4, 4, 1, false, 20},
+    {"NAND2X1", CellKind::kNand2, 2, 1, false, 10},
+    {"NAND3X1", CellKind::kNand3, 3, 1, false, 12},
+    {"NAND4X1", CellKind::kNand4, 4, 1, false, 14},
+    {"OR2X1", CellKind::kOr2, 2, 1, false, 16},
+    {"OR3X1", CellKind::kOr3, 3, 1, false, 18},
+    {"OR4X1", CellKind::kOr4, 4, 1, false, 20},
+    {"NOR2X1", CellKind::kNor2, 2, 1, false, 10},
+    {"NOR3X1", CellKind::kNor3, 3, 1, false, 12},
+    {"NOR4X1", CellKind::kNor4, 4, 1, false, 14},
+    {"XOR2X1", CellKind::kXor2, 2, 1, false, 22},
+    {"XNOR2X1", CellKind::kXnor2, 2, 1, false, 22},
+    {"MUX2X1", CellKind::kMux2, 3, 1, false, 20},
+    {"AOI21X1", CellKind::kAoi21, 3, 1, false, 14},
+    {"OAI21X1", CellKind::kOai21, 3, 1, false, 14},
+    {"DFFX1", CellKind::kDff, 2, 2, true, 40},
+    {"DFFRX1", CellKind::kDffR, 3, 2, true, 40},
+    {"DFFREX1", CellKind::kDffE, 4, 2, true, 40},
+    {"SSRESF_MEM", CellKind::kMemory, 0, 0, true, 60},
+}};
+
+[[noreturn]] void throw_unknown_cell_kind();
+}  // namespace detail
+
+/// Largest CellSpec::delay_ps in the library: the furthest ahead of the
+/// current time any engine ever schedules a transition.
+inline constexpr int kMaxCellDelayPs = [] {
+  int max_delay = 0;
+  for (const CellSpec& s : detail::kCellSpecs) {
+    max_delay = s.delay_ps > max_delay ? s.delay_ps : max_delay;
+  }
+  return max_delay;
+}();
+
+/// Static description of a cell kind. Inline: the event engine reads a
+/// delay on every gate evaluation.
+[[nodiscard]] inline const CellSpec& spec(CellKind kind) {
+  const auto index = static_cast<std::size_t>(kind);
+  if (index >= detail::kCellSpecs.size()) detail::throw_unknown_cell_kind();
+  return detail::kCellSpecs[index];
+}
 
 /// Reverse lookup from a library cell name (e.g. "NAND2X1").
 [[nodiscard]] std::optional<CellKind> kind_from_name(std::string_view name);

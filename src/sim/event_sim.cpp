@@ -24,6 +24,22 @@ EventSimulator::EventSimulator(const Netlist& netlist) : netlist_(netlist) {
   if (!netlist.finalized()) {
     throw InvalidArgument("EventSimulator requires a finalized netlist");
   }
+  std::size_t num_inputs = 0;
+  for (const CellId id : netlist_.all_cells()) {
+    num_inputs += netlist_.cell(id).inputs.size();
+  }
+  kind_.reserve(netlist_.num_cells());
+  out0_.reserve(netlist_.num_cells());
+  in_begin_.reserve(netlist_.num_cells() + 1);
+  in_nets_.reserve(num_inputs);
+  in_begin_.push_back(0);
+  for (const CellId id : netlist_.all_cells()) {
+    const Cell& cell = netlist_.cell(id);
+    kind_.push_back(cell.kind);
+    out0_.push_back(cell.outputs.empty() ? NetId{} : cell.outputs[0]);
+    in_nets_.insert(in_nets_.end(), cell.inputs.begin(), cell.inputs.end());
+    in_begin_.push_back(static_cast<std::uint32_t>(in_nets_.size()));
+  }
   const auto depths = netlist::compute_logic_depths(netlist_);
   init_order_ = netlist_.all_cells();
   std::stable_sort(init_order_.begin(), init_order_.end(),
@@ -35,20 +51,15 @@ EventSimulator::EventSimulator(const Netlist& netlist) : netlist_(netlist) {
 
 void EventSimulator::reset_state() {
   now_ = 0;
-  seq_ = 0;
   events_processed_ = 0;
   driven_.assign(netlist_.num_nets(), Logic::X);
   forced_val_.assign(netlist_.num_nets(), Logic::X);
-  forced_.assign(netlist_.num_nets(), false);
+  forced_.assign(netlist_.num_nets(), 0);
   pending_gen_.assign(netlist_.num_nets(), 0);
-  has_pending_.assign(netlist_.num_nets(), false);
+  has_pending_.assign(netlist_.num_nets(), 0);
   ff_q_.assign(netlist_.num_cells(), Logic::X);
-  // At most one live transition per net (inertial cancelling keeps stale
-  // entries around only briefly): pre-size the heap's backing vector so the
-  // first simulated cycles don't pay repeated growth.
-  std::vector<Event> backing;
-  backing.reserve(netlist_.num_nets() / 4 + 64);
-  queue_ = decltype(queue_)(std::greater<>{}, std::move(backing));
+  for (auto& bucket : wheel_) bucket.clear();
+  wheel_size_ = 0;
 
   mems_.clear();
   init_constants_and_memories();
@@ -56,78 +67,56 @@ void EventSimulator::reset_state() {
 
 struct EventSimulator::State final : EngineState {
   std::uint64_t now = 0;
-  std::uint64_t seq = 0;
   std::uint64_t events_processed = 0;
   std::vector<Logic> driven;
   std::vector<Logic> forced_val;
-  std::vector<bool> forced;
-  std::vector<std::uint64_t> pending_gen;
-  std::vector<bool> has_pending;
+  std::vector<std::uint8_t> forced;
   std::vector<Logic> ff_q;
   std::vector<std::vector<std::uint64_t>> mems;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+  std::vector<LiveEvent> live;
 };
+
+std::vector<EventSimulator::LiveEvent> EventSimulator::live_events() const {
+  std::vector<LiveEvent> out;
+  for (std::uint64_t t = now_; t < now_ + kWheelSpan; ++t) {
+    for (const Event& e : wheel_[t & kWheelMask]) {
+      if (has_pending_[e.net.index()] != 0 &&
+          e.gen == pending_gen_[e.net.index()]) {
+        out.push_back({t, e.net, e.value});
+      }
+    }
+  }
+  return out;
+}
 
 std::unique_ptr<EngineState> EventSimulator::save_state() const {
   auto state = std::make_unique<State>();
   state->now = now_;
-  state->seq = seq_;
   state->events_processed = events_processed_;
   state->driven = driven_;
   state->forced_val = forced_val_;
   state->forced = forced_;
-  state->pending_gen = pending_gen_;
-  state->has_pending = has_pending_;
   state->ff_q = ff_q_;
   state->mems = mems_;
-  state->queue = queue_;
+  state->live = live_events();
   return state;
 }
-
-namespace {
-
-/// Pending transitions that are still live (not cancelled), in application
-/// order. Two engines with equal state vectors and equal live sequences
-/// evolve identically; absolute seq/gen counters are bookkeeping.
-struct LiveEvent {
-  std::uint64_t time;
-  NetId net;
-  Logic value;
-  bool operator==(const LiveEvent&) const = default;
-};
-
-template <typename Queue>
-std::vector<LiveEvent> live_events(Queue queue,
-                                   const std::vector<bool>& has_pending,
-                                   const std::vector<std::uint64_t>& gen) {
-  std::vector<LiveEvent> out;
-  while (!queue.empty()) {
-    const auto& e = queue.top();
-    if (has_pending[e.net.index()] && e.gen == gen[e.net.index()]) {
-      out.push_back({e.time, e.net, e.value});
-    }
-    queue.pop();
-  }
-  return out;  // (time, seq) ascending: the order events would apply in
-}
-
-}  // namespace
 
 bool EventSimulator::state_matches(const EngineState& state) const {
   const auto* s = dynamic_cast<const State*>(&state);
   if (s == nullptr) return false;
   if (now_ != s->now || driven_ != s->driven || ff_q_ != s->ff_q ||
-      forced_ != s->forced || has_pending_ != s->has_pending ||
-      mems_ != s->mems) {
+      forced_ != s->forced || mems_ != s->mems) {
     return false;
   }
   // Forced overlay values matter only where a force is active (released
   // forces leave stale values behind).
   for (std::size_t n = 0; n < forced_.size(); ++n) {
-    if (forced_[n] && forced_val_[n] != s->forced_val[n]) return false;
+    if (forced_[n] != 0 && forced_val_[n] != s->forced_val[n]) return false;
   }
-  return live_events(queue_, has_pending_, pending_gen_) ==
-         live_events(s->queue, s->has_pending, s->pending_gen);
+  // Two engines with equal state vectors and equal live sequences evolve
+  // identically.
+  return live_events() == s->live;
 }
 
 void EventSimulator::serialize_state(const EngineState& state,
@@ -141,21 +130,12 @@ void EventSimulator::serialize_state(const EngineState& state,
   out.varint(s->events_processed);
   out.byte_vec(s->driven);
   out.byte_vec(s->forced_val);
-  std::vector<std::uint8_t> forced(s->forced.size());
-  for (std::size_t n = 0; n < forced.size(); ++n) forced[n] = s->forced[n];
-  out.byte_vec(forced);
+  out.byte_vec(s->forced);
   out.byte_vec(s->ff_q);
   out.varint(s->mems.size());
   for (const auto& mem : s->mems) out.u64_vec(mem);
-  // The priority queue is serialized in normalized form: only live (not
-  // cancelled) transitions, in application order. Sequence numbers and
-  // per-net generations are bookkeeping and are re-minted on decode; the
-  // round-tripped snapshot still satisfies state_matches because that
-  // comparison is over the same normalization.
-  const std::vector<LiveEvent> live =
-      live_events(s->queue, s->has_pending, s->pending_gen);
-  out.varint(live.size());
-  for (const LiveEvent& e : live) {
+  out.varint(s->live.size());
+  for (const LiveEvent& e : s->live) {
     out.varint(e.time);
     out.varint(e.net.index());
     out.u8(static_cast<std::uint8_t>(e.value));
@@ -169,9 +149,8 @@ std::unique_ptr<EngineState> EventSimulator::deserialize_state(
   s->events_processed = in.varint();
   s->driven = in.byte_vec<Logic>();
   s->forced_val = in.byte_vec<Logic>();
-  const auto forced = in.byte_vec<std::uint8_t>();
-  s->forced.assign(forced.size(), false);
-  for (std::size_t n = 0; n < forced.size(); ++n) s->forced[n] = forced[n] != 0;
+  s->forced = in.byte_vec<std::uint8_t>();
+  for (std::uint8_t& f : s->forced) f = f != 0 ? 1 : 0;
   s->ff_q = in.byte_vec<Logic>();
   // element_count bounds the count by the remaining input (each array is at
   // least its one-byte length prefix), so a malformed count cannot drive an
@@ -195,31 +174,34 @@ std::unique_ptr<EngineState> EventSimulator::deserialize_state(
       throw InvalidArgument("deserialize_state: memory array size mismatch");
     }
   }
-  // Rebuild the pending-transition machinery from the live list. schedule()
-  // maintains at most one live transition per net, so generation 1 per net
-  // is enough; seq restarts at the live count, preserving the application
-  // order of same-time events.
-  s->pending_gen.assign(netlist_.num_nets(), 0);
-  s->has_pending.assign(netlist_.num_nets(), false);
-  const std::uint64_t num_live = in.varint();
-  for (std::uint64_t i = 0; i < num_live; ++i) {
-    Event e;
-    e.time = in.varint();
+  // The live list is what save_state produces: at most one transition per
+  // net (the inertial model cancels the older one), in application order,
+  // and inside the scheduling window [now, now + kWheelSpan) — an event
+  // beyond it has no bucket of its own and would apply out of order.
+  // Each event is at least 3 bytes, which bounds the reservation.
+  const std::size_t num_live = in.element_count(3);
+  s->live.reserve(num_live);
+  std::vector<std::uint8_t> seen(netlist_.num_nets(), 0);
+  for (std::size_t i = 0; i < num_live; ++i) {
+    const std::uint64_t time = in.varint();
     const std::uint64_t net = in.varint();
     const std::uint8_t value = in.u8();
-    if (net >= netlist_.num_nets() || value > 3 || e.time < s->now ||
-        s->has_pending[static_cast<std::size_t>(net)]) {
+    if (net >= netlist_.num_nets() || value > 3 ||
+        seen[static_cast<std::size_t>(net)] != 0 ||
+        (!s->live.empty() && time < s->live.back().time)) {
       throw InvalidArgument("deserialize_state: malformed event list");
     }
-    e.net = NetId{static_cast<std::uint32_t>(net)};
-    e.value = static_cast<Logic>(value);
-    e.seq = i + 1;
-    e.gen = 1;
-    s->pending_gen[static_cast<std::size_t>(net)] = 1;
-    s->has_pending[static_cast<std::size_t>(net)] = true;
-    s->queue.push(e);
+    if (time < s->now || time - s->now >= kWheelSpan) {
+      throw InvalidArgument(
+          "deserialize_state: event at " + std::to_string(time) +
+          " ps lies outside the scheduling window [" + std::to_string(s->now) +
+          ", " + std::to_string(s->now) + " + " + std::to_string(kWheelSpan) +
+          ") ps");
+    }
+    seen[static_cast<std::size_t>(net)] = 1;
+    s->live.push_back({time, NetId{static_cast<std::uint32_t>(net)},
+                       static_cast<Logic>(value)});
   }
-  s->seq = num_live;
   return s;
 }
 
@@ -233,16 +215,24 @@ void EventSimulator::restore_state(const EngineState& state) {
     throw InvalidArgument("restore_state: snapshot from a different design");
   }
   now_ = s->now;
-  seq_ = s->seq;
   events_processed_ = s->events_processed;
   driven_ = s->driven;
   forced_val_ = s->forced_val;
   forced_ = s->forced;
-  pending_gen_ = s->pending_gen;
-  has_pending_ = s->has_pending;
   ff_q_ = s->ff_q;
   mems_ = s->mems;
-  queue_ = s->queue;
+  // Re-mint the pending machinery from the live list. Every old wheel entry
+  // is dropped, so bumping a net's generation is enough to make its one new
+  // entry the live one; appending in list order keeps same-time order.
+  for (auto& bucket : wheel_) bucket.clear();
+  has_pending_.assign(netlist_.num_nets(), 0);
+  for (const LiveEvent& e : s->live) {
+    const auto n = e.net.index();
+    has_pending_[n] = 1;
+    wheel_[e.time & kWheelMask].push_back(
+        Event{e.net, e.value, ++pending_gen_[n]});
+  }
+  wheel_size_ = s->live.size();
 }
 
 void EventSimulator::init_constants_and_memories() {
@@ -294,8 +284,8 @@ void EventSimulator::init_constants_and_memories() {
 }
 
 Logic EventSimulator::effective(NetId net) const {
-  return forced_[net.index()] ? forced_val_[net.index()]
-                              : driven_[net.index()];
+  return forced_[net.index()] != 0 ? forced_val_[net.index()]
+                                   : driven_[net.index()];
 }
 
 Logic EventSimulator::value(NetId net) const { return effective(net); }
@@ -308,45 +298,53 @@ void EventSimulator::set_input(NetId net, Logic v) {
   const Logic old_driven = driven_[net.index()];
   if (old_driven == v) return;
   driven_[net.index()] = v;
-  if (!forced_[net.index()]) propagate_change(net, old_driven, v);
+  if (forced_[net.index()] == 0) propagate_change(net, old_driven, v);
 }
 
 void EventSimulator::advance_to(std::uint64_t time_ps) {
-  while (!queue_.empty() && queue_.top().time <= time_ps) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    if (ev.gen != pending_gen_[ev.net.index()]) continue;  // cancelled
-    now_ = ev.time;
-    apply_event(ev);
+  if (time_ps < now_) return;  // every pending event lies at or after now_
+  while (wheel_size_ != 0) {
+    std::vector<Event>& bucket = wheel_[now_ & kWheelMask];
+    // Indexed: a zero-delay transition scheduled while the bucket drains is
+    // appended to it and applies in this pass, after every earlier one.
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      const Event event = bucket[i];
+      if (event.gen == pending_gen_[event.net.index()]) apply_event(event);
+    }
+    wheel_size_ -= bucket.size();
+    bucket.clear();
+    if (now_ == time_ps) return;
+    ++now_;
   }
-  now_ = std::max(now_, time_ps);
+  now_ = time_ps;
 }
 
-void EventSimulator::schedule(NetId net, Logic v, std::uint64_t time) {
+void EventSimulator::schedule(NetId net, Logic v, std::uint64_t delay_ps) {
   const auto n = net.index();
-  if (has_pending_[n]) {
+  if (has_pending_[n] != 0) {
     ++pending_gen_[n];  // cancel the pending transition (inertial behaviour)
     if (v == driven_[n]) {
-      has_pending_[n] = false;  // glitch collapsed entirely
+      has_pending_[n] = 0;  // glitch collapsed entirely
       return;
     }
-    queue_.push(Event{time, ++seq_, net, v, pending_gen_[n]});
-    return;
+  } else {
+    if (v == driven_[n]) return;  // no change
+    ++pending_gen_[n];
+    has_pending_[n] = 1;
   }
-  if (v == driven_[n]) return;  // no change
-  ++pending_gen_[n];
-  has_pending_[n] = true;
-  queue_.push(Event{time, ++seq_, net, v, pending_gen_[n]});
+  wheel_[(now_ + delay_ps) & kWheelMask].push_back(
+      Event{net, v, pending_gen_[n]});
+  ++wheel_size_;
 }
 
 void EventSimulator::apply_event(const Event& event) {
   const auto n = event.net.index();
-  has_pending_[n] = false;
+  has_pending_[n] = 0;
   ++events_processed_;
   const Logic old_driven = driven_[n];
   if (old_driven == event.value) return;
   driven_[n] = event.value;
-  if (forced_[n]) return;  // hidden behind the force overlay
+  if (forced_[n] != 0) return;  // hidden behind the force overlay
   propagate_change(event.net, old_driven, event.value);
 }
 
@@ -354,8 +352,8 @@ void EventSimulator::propagate_change(NetId net, Logic old_effective,
                                       Logic new_effective) {
   if (has_observer_) observer_(net, now_, new_effective);
   for (const Fanout& fo : netlist_.fanout(net)) {
-    const Cell& cell = netlist_.cell(fo.cell);
-    switch (cell.kind) {
+    const CellKind kind = kind_[fo.cell.index()];
+    switch (kind) {
       case CellKind::kDff:
       case CellKind::kDffR:
       case CellKind::kDffE: {
@@ -370,12 +368,13 @@ void EventSimulator::propagate_change(NetId net, Logic old_effective,
           } else if (maybe_edge) {
             // An edge may or may not have happened: degrade to X if capturing
             // would change the state.
-            const Logic d = as_input(effective(cell.inputs[0]));
+            const Logic d =
+                as_input(effective(netlist_.cell(fo.cell).inputs[0]));
             if (d != ff_q_[fo.cell.index()]) {
               set_ff_state(fo.cell, Logic::X, /*immediate=*/false);
             }
           }
-        } else if (fo.input_index == 2 && cell.kind != CellKind::kDff) {
+        } else if (fo.input_index == 2 && kind != CellKind::kDff) {
           on_async_pin_change(fo.cell);
         }
         // D and EN changes are sampled at the next clock edge.
@@ -387,7 +386,8 @@ void EventSimulator::propagate_change(NetId net, Logic old_effective,
               old_effective == Logic::L0 && new_effective == Logic::L1;
           if (posedge) on_clock_edge(fo.cell);
         } else if (fo.input_index >= 3) {
-          const MemoryInfo& mi = netlist_.memory(cell.memory_index);
+          const MemoryInfo& mi =
+              netlist_.memory(netlist_.cell(fo.cell).memory_index);
           if (fo.input_index < 3u + mi.addr_bits) {
             evaluate_memory_read(fo.cell);  // async read path
           }
@@ -403,15 +403,16 @@ void EventSimulator::propagate_change(NetId net, Logic old_effective,
 }
 
 void EventSimulator::evaluate_comb(CellId id) {
-  const Cell& cell = netlist_.cell(id);
+  const auto c = id.index();
+  const std::uint32_t begin = in_begin_[c];
+  const std::uint32_t num_inputs = in_begin_[c + 1] - begin;
   Logic ins[4];
-  for (std::size_t i = 0; i < cell.inputs.size(); ++i) {
-    ins[i] = effective(cell.inputs[i]);
+  for (std::uint32_t i = 0; i < num_inputs; ++i) {
+    ins[i] = effective(in_nets_[begin + i]);
   }
-  const Logic out =
-      eval_cell(cell.kind, std::span<const Logic>(ins, cell.inputs.size()));
-  schedule(cell.outputs[0], out,
-           now_ + static_cast<std::uint64_t>(spec(cell.kind).delay_ps));
+  const CellKind kind = kind_[c];
+  schedule(out0_[c], eval_cell(kind, std::span<const Logic>(ins, num_inputs)),
+           static_cast<std::uint64_t>(spec(kind).delay_ps));
 }
 
 void EventSimulator::on_clock_edge(CellId id) {
@@ -501,14 +502,14 @@ void EventSimulator::evaluate_memory_read(CellId id) {
       static_cast<std::uint64_t>(spec(CellKind::kMemory).delay_ps);
   if (!addr_known || addr >= mi.words) {
     for (int i = 0; i < mi.width; ++i) {
-      schedule(cell.outputs[i], Logic::X, now_ + delay);
+      schedule(cell.outputs[i], Logic::X, delay);
     }
     return;
   }
   const std::uint64_t word =
       mems_[static_cast<std::size_t>(cell.memory_index)][addr];
   for (int i = 0; i < mi.width; ++i) {
-    schedule(cell.outputs[i], from_bool((word >> i) & 1), now_ + delay);
+    schedule(cell.outputs[i], from_bool((word >> i) & 1), delay);
   }
 }
 
@@ -517,23 +518,23 @@ void EventSimulator::set_ff_state(CellId id, Logic q, bool immediate) {
   ff_q_[id.index()] = q;
   const std::uint64_t delay =
       immediate ? 0 : static_cast<std::uint64_t>(spec(cell.kind).delay_ps);
-  schedule(cell.outputs[0], q, now_ + delay);
-  schedule(cell.outputs[1], logic_not(q), now_ + delay);
+  schedule(cell.outputs[0], q, delay);
+  schedule(cell.outputs[1], logic_not(q), delay);
 }
 
 void EventSimulator::force_net(NetId net, Logic v) {
   const auto n = net.index();
   const Logic old_effective = effective(net);
-  forced_[n] = true;
+  forced_[n] = 1;
   forced_val_[n] = v;
   if (old_effective != v) propagate_change(net, old_effective, v);
 }
 
 void EventSimulator::release_net(NetId net) {
   const auto n = net.index();
-  if (!forced_[n]) return;
+  if (forced_[n] == 0) return;
   const Logic old_effective = forced_val_[n];
-  forced_[n] = false;
+  forced_[n] = 0;
   if (driven_[n] != old_effective) {
     propagate_change(net, old_effective, driven_[n]);
   }

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <queue>
+#include <array>
 #include <vector>
 
 #include "sim/engine.h"
@@ -20,6 +20,16 @@ namespace ssresf::sim {
 ///    state to X);
 ///  - memory macros: asynchronous read (ADDR -> RDATA after the macro delay),
 ///    synchronous write on posedge CLK when EN & WE are 1.
+///
+/// Scheduler: a time wheel of one bucket per picosecond. Every transition
+/// is scheduled at now + a cell delay, and no cell is slower than
+/// netlist::kMaxCellDelayPs, so every pending event lies in
+/// [now, now + kMaxCellDelayPs] — a window narrower than the wheel, in which
+/// each time owns a distinct bucket. Buckets are append-only while pending,
+/// so the events of one time apply in the order they were scheduled, and
+/// advance_to drains buckets in time order: the application order is
+/// exactly (time, scheduling order), the order a priority queue keyed on
+/// (time, sequence number) produces, at O(1) per event.
 class EventSimulator final : public Engine {
  public:
   explicit EventSimulator(const Netlist& netlist);
@@ -59,20 +69,38 @@ class EventSimulator final : public Engine {
   }
 
  private:
+  /// One pending output transition. Its time is the bucket that holds it
+  /// and its rank among same-time events is its position in that bucket.
   struct Event {
-    std::uint64_t time;
-    std::uint64_t seq;
     NetId net;
     Logic value;
-    std::uint64_t gen;
-    bool operator>(const Event& other) const {
-      return time != other.time ? time > other.time : seq > other.seq;
-    }
+    std::uint32_t gen;  // live while equal to pending_gen_[net]
+  };
+
+  static constexpr std::uint64_t kWheelSpan = 64;  // a power of two
+  static constexpr std::uint64_t kWheelMask = kWheelSpan - 1;
+  static_assert(static_cast<std::uint64_t>(netlist::kMaxCellDelayPs) <
+                    kWheelSpan,
+                "a cell delay reaching the wheel span would alias buckets "
+                "and reorder events");
+
+  /// A pending transition that is still live (not cancelled), with its
+  /// absolute time: the normalized form snapshots hold. Per-net generations
+  /// are bookkeeping of the engine that scheduled the transition.
+  struct LiveEvent {
+    std::uint64_t time;
+    NetId net;
+    Logic value;
+    bool operator==(const LiveEvent&) const = default;
   };
 
   struct State;
 
-  void schedule(NetId net, Logic value, std::uint64_t time);
+  /// The live events in application order: the wheel walked from now_,
+  /// bucket by bucket, each in scheduling order.
+  [[nodiscard]] std::vector<LiveEvent> live_events() const;
+
+  void schedule(NetId net, Logic value, std::uint64_t delay_ps);
   void apply_event(const Event& event);
   void propagate_change(NetId net, Logic old_effective, Logic new_effective);
   void evaluate_comb(CellId cell);
@@ -85,20 +113,30 @@ class EventSimulator final : public Engine {
 
   const Netlist& netlist_;
   std::uint64_t now_ = 0;
-  std::uint64_t seq_ = 0;
   std::uint64_t events_processed_ = 0;
 
   std::vector<Logic> driven_;      // last driver-produced value per net
   std::vector<Logic> forced_val_;  // overlay value per net
-  std::vector<bool> forced_;
-  std::vector<std::uint64_t> pending_gen_;
-  std::vector<bool> has_pending_;
+  std::vector<std::uint8_t> forced_;
+  std::vector<std::uint32_t> pending_gen_;
+  std::vector<std::uint8_t> has_pending_;
 
   std::vector<Logic> ff_q_;                       // per cell (FFs only)
   std::vector<std::vector<std::uint64_t>> mems_;  // per memory index
   std::vector<CellId> init_order_;                // topo order for power-up
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  // Flat copies of the cell fields event propagation reads, so evaluating
+  // a gate never chases a netlist Cell and its separately allocated input
+  // vector: kind, first output, and the inputs of cell c as
+  // in_nets_[in_begin_[c], in_begin_[c + 1]).
+  std::vector<netlist::CellKind> kind_;
+  std::vector<NetId> out0_;
+  std::vector<std::uint32_t> in_begin_;
+  std::vector<NetId> in_nets_;
+
+  // Bucket (t & kWheelMask) holds the events of time t.
+  std::array<std::vector<Event>, kWheelSpan> wheel_;
+  std::uint64_t wheel_size_ = 0;  // events in the wheel, cancelled included
   ChangeObserver observer_;
   bool has_observer_ = false;  // hot-path guard: skip the std::function call
 };

@@ -5,12 +5,17 @@
 // checkpointing, or early exit.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "fi/campaign.h"
+#include "fi/shard.h"
 #include "netlist/builder.h"
 #include "sim/event_sim.h"
 #include "sim/levelized_sim.h"
 #include "sim/testbench.h"
 #include "soc/programs.h"
+#include "soc/run.h"
+#include "util/bytes.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -309,6 +314,72 @@ TEST(CampaignDeterminism, FullFastPathVsFullSlowPath) {
   slow.masked_exit = false;
   expect_identical(fi::run_campaign(model, fast, db),
                    fi::run_campaign(model, slow, db));
+}
+
+// --- event-engine byte identity ----------------------------------------------
+//
+// Constants recorded from the binary-heap event scheduler the time wheel
+// replaced. Any scheduler change that reorders, drops or duplicates an
+// applied event moves one of them.
+
+std::uint64_t records_digest(const fi::CampaignResult& result) {
+  std::vector<fi::ShardRecord> tagged;
+  tagged.reserve(result.records.size());
+  for (std::size_t i = 0; i < result.records.size(); ++i) {
+    tagged.push_back({i, result.records[i]});
+  }
+  util::ByteWriter out;
+  fi::encode_records(out, tagged);
+  return util::fnv1a(out.data());
+}
+
+fi::CampaignConfig identity_campaign(bool fast_path) {
+  fi::CampaignConfig cfg = small_campaign(53);
+  cfg.engine = sim::EngineKind::kEvent;
+  cfg.threads = 2;
+  cfg.use_checkpoint = fast_path;
+  cfg.early_exit = fast_path;
+  cfg.masked_exit = fast_path;
+  return cfg;
+}
+
+TEST(EventEngineIdentity, CampaignRecordsMatchTheRecordedDigest) {
+  const auto model = small_soc();
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  for (const bool fast_path : {true, false}) {
+    SCOPED_TRACE(fast_path ? "checkpoint + early + masked exit"
+                           : "full-length runs");
+    const fi::CampaignResult result =
+        fi::run_campaign(model, identity_campaign(fast_path), db);
+    // The plan must exercise every fault model the event engine injects.
+    std::array<int, 3> kinds{};
+    int soft_errors = 0;
+    for (const fi::InjectionRecord& r : result.records) {
+      ++kinds[static_cast<std::size_t>(r.event.target.kind)];
+      soft_errors += r.soft_error ? 1 : 0;
+    }
+    EXPECT_GT(kinds[static_cast<std::size_t>(radiation::FaultKind::kSeu)], 0);
+    EXPECT_GT(kinds[static_cast<std::size_t>(radiation::FaultKind::kSet)], 0);
+    EXPECT_GT(kinds[static_cast<std::size_t>(radiation::FaultKind::kMemBit)],
+              0);
+    EXPECT_GT(soft_errors, 0);
+    EXPECT_EQ(result.records.size(), 42u);
+    EXPECT_EQ(records_digest(result), 0x5d132c4a1654a46ull);
+  }
+}
+
+TEST(EventEngineIdentity, GoldenRunAppliesTheRecordedEventCount) {
+  const auto model = small_soc();
+  EventSimulator engine(model.netlist);
+  TestbenchConfig cfg;
+  cfg.clk = model.clk;
+  cfg.rstn = model.rstn;
+  cfg.monitored = model.monitored;
+  cfg.clock_period_ps = soc::pick_clock_period(model.netlist);
+  Testbench tb(engine, cfg);
+  tb.reset();
+  tb.run_cycles(60);
+  EXPECT_EQ(engine.events_processed(), 102598u);
 }
 
 TEST(ThreadPool, RunsJobsAndPropagatesExceptions) {

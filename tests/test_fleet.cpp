@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <iterator>
@@ -17,6 +18,8 @@
 #include <set>
 #include <thread>
 #include <type_traits>
+
+#include <unistd.h>
 
 #include "core/scenario.h"
 #include "fi/campaign_exec.h"
@@ -1118,24 +1121,20 @@ TEST(FleetElection, PrefixReplicaPromotionRequeuesTheUnmirroredTail) {
   std::remove(journal.c_str());
 }
 
-TEST(FleetElection, WorkersElectAReplacementAfterCoordinatorDeath) {
-  // The tentpole, end to end and fully deterministic: the coordinator is
-  // SIGKILLed (in-process stand-in: connections and listener dropped cold
-  // after a fixed frame count), NO standby exists, and the workers heal the
-  // fleet on their own — the lowest-id survivor promotes itself on its
-  // journal replica, the other follows via a peer query, and the merged
-  // result is byte-identical to the single-process campaign.
-  const net::CampaignSpec spec = small_spec();
-  const soc::SocModel model = net::build_model(spec);
-  const auto db = radiation::SoftErrorDatabase::default_database();
-  const fi::CampaignResult baseline = fi::run_campaign(model, spec.config, db);
-  ASSERT_GT(baseline.records.size(), 8u);
+/// Kills the coordinator mid-campaign (in-process stand-in for SIGKILL:
+/// connections and listener dropped cold after a fixed frame count) with NO
+/// standby, and lets workers 1 and 2 heal the fleet on their own. Worker 1
+/// persists its promoted journal at `promote_journal` ("" = the default).
+struct ElectionRun {
+  bool coordinator_died = false;
+  std::unique_ptr<net::Worker> w1, w2;
+};
 
+ElectionRun run_election_after_coordinator_death(
+    const net::CampaignSpec& spec, const radiation::SoftErrorDatabase& db,
+    const std::string& promote_journal) {
   const std::string journal = testing::TempDir() + "/ssresf_election.ssjl";
-  const std::string promote_journal =
-      testing::TempDir() + "/ssresf_election_promoted.ssjl";
   std::remove(journal.c_str());
-  std::remove(promote_journal.c_str());
 
   net::CoordinatorDeathSchedule death(/*die_at_frame=*/12);
   net::CoordinatorOptions copts;
@@ -1170,20 +1169,43 @@ TEST(FleetElection, WorkersElectAReplacementAfterCoordinatorDeath) {
     wopts.promote_journal_path = promote_journal;
     return std::make_unique<net::Worker>(db, wopts);
   };
-  const std::unique_ptr<net::Worker> w1 = make_worker(1);
-  const std::unique_ptr<net::Worker> w2 = make_worker(2);
-  std::thread t1([&w1] { (void)w1->run(); });
-  std::thread t2([&w2] { (void)w2->run(); });
+  ElectionRun run;
+  run.w1 = make_worker(1);
+  run.w2 = make_worker(2);
+  std::thread t1([&run] { (void)run.w1->run(); });
+  std::thread t2([&run] { (void)run.w2->run(); });
   t1.join();
   t2.join();
-  EXPECT_TRUE(doomed.get()) << "the death schedule must fire mid-campaign";
+  run.coordinator_died = doomed.get();
+  std::remove(journal.c_str());
+  return run;
+}
+
+TEST(FleetElection, WorkersElectAReplacementAfterCoordinatorDeath) {
+  // The tentpole, end to end and fully deterministic: the lowest-id
+  // survivor promotes itself on its journal replica, the other follows via
+  // a peer query, and the merged result is byte-identical to the
+  // single-process campaign.
+  const net::CampaignSpec spec = small_spec();
+  const soc::SocModel model = net::build_model(spec);
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  const fi::CampaignResult baseline = fi::run_campaign(model, spec.config, db);
+  ASSERT_GT(baseline.records.size(), 8u);
+
+  const std::string promote_journal =
+      testing::TempDir() + "/ssresf_election_promoted.ssjl";
+  std::remove(promote_journal.c_str());
+  const ElectionRun run =
+      run_election_after_coordinator_death(spec, db, promote_journal);
+  EXPECT_TRUE(run.coordinator_died)
+      << "the death schedule must fire mid-campaign";
 
   // Exactly one winner — the lowest id — and ITS process holds the merged
   // result the dead primary would have emitted, byte for byte.
-  EXPECT_TRUE(w1->promoted());
-  EXPECT_FALSE(w2->promoted());
-  ASSERT_TRUE(w1->promoted_result().has_value());
-  expect_same_result(*w1->promoted_result(), baseline);
+  EXPECT_TRUE(run.w1->promoted());
+  EXPECT_FALSE(run.w2->promoted());
+  ASSERT_TRUE(run.w1->promoted_result().has_value());
+  expect_same_result(*run.w1->promoted_result(), baseline);
 
   // The promotion journal is a strict-clean, campaign-bound journal whose
   // entries cover every injection exactly once (replica prefix + re-queued
@@ -1198,8 +1220,34 @@ TEST(FleetElection, WorkersElectAReplacementAfterCoordinatorDeath) {
   }
   EXPECT_EQ(journaled, baseline.records.size());
 
-  std::remove(journal.c_str());
   std::remove(promote_journal.c_str());
+}
+
+TEST(FleetElection, DefaultPromotedJournalIsPerCampaignAndProcessAndRemoved) {
+  // The default journal name carries the campaign digest and the process id
+  // besides the worker id: two fleets on one host that both promote worker
+  // 1 must not write the same file.
+  const std::string a = net::default_promote_journal_path(0xabcull, 1);
+  EXPECT_NE(a, net::default_promote_journal_path(0xabdull, 1));
+  EXPECT_NE(a, net::default_promote_journal_path(0xabcull, 2));
+  EXPECT_NE(a.find("0000000000000abc"), std::string::npos) << a;
+  EXPECT_NE(a.find("_" + std::to_string(::getpid()) + "_"), std::string::npos)
+      << a;
+
+  // And it does not outlive the promoted coordinator's completed run.
+  const net::CampaignSpec spec = small_spec();
+  const soc::SocModel model = net::build_model(spec);
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  const std::string path = net::default_promote_journal_path(
+      fi::campaign_config_digest(model, spec.config), 1);
+  std::remove(path.c_str());
+  const ElectionRun run = run_election_after_coordinator_death(spec, db, "");
+  EXPECT_TRUE(run.coordinator_died);
+  ASSERT_TRUE(run.w1->promoted());
+  ASSERT_TRUE(run.w1->promoted_result().has_value());
+  expect_same_result(*run.w1->promoted_result(),
+                     fi::run_campaign(model, spec.config, db));
+  EXPECT_FALSE(std::filesystem::exists(path)) << path;
 }
 
 }  // namespace

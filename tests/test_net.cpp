@@ -501,6 +501,22 @@ TEST(NetCampaign, BitParallelWorkersMatchSingleProcess) {
   expect_same_result(merged, baseline);
 }
 
+TEST(NetCampaign, EventEngineWorkersMatchSingleProcess) {
+  // The event engine's checkpoint ladder crosses the wire inside the golden
+  // bundle: serialize_state on the coordinator, deserialize_state in every
+  // worker. Its records must still be bit-identical to one process.
+  net::CampaignSpec spec = small_spec();
+  spec.config.engine = sim::EngineKind::kEvent;
+  const soc::SocModel model = net::build_model(spec);
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  const fi::CampaignResult baseline = fi::run_campaign(model, spec.config, db);
+  ASSERT_GT(baseline.records.size(), 8u);
+
+  std::vector<net::WorkerOptions> workers(2);
+  const fi::CampaignResult merged = run_loopback(spec, db, workers);
+  expect_same_result(merged, baseline);
+}
+
 TEST(NetCampaign, WorkerDefectionMidCampaignIsReassignedDeterministically) {
   const net::CampaignSpec spec = small_spec();
   const soc::SocModel model = net::build_model(spec);

@@ -6,6 +6,8 @@
 // that engine's future is bit-identical to the donor's.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sim/bit_parallel_sim.h"
 #include "sim/event_sim.h"
 #include "sim/levelized_sim.h"
@@ -194,6 +196,158 @@ TEST(StateCodec, BitParallelEngineRoundTripsRaw) {
 }
 TEST(StateCodec, BitParallelEngineRoundTripsRle) {
   roundtrip_and_continue(EngineKind::kBitParallel, StateCodec::kRle);
+}
+
+// --- event-engine scheduling window -------------------------------------------
+
+/// A live event of an event-engine payload: (time_ps, net, value).
+struct PayloadEvent {
+  std::uint64_t time;
+  std::uint64_t net;
+  std::uint8_t value;
+};
+
+/// Splits an EventSimulator::serialize_state payload into the bytes before
+/// its live-event list and the list itself.
+std::pair<std::vector<std::uint8_t>, std::vector<PayloadEvent>> split_payload(
+    const std::vector<std::uint8_t>& payload) {
+  util::ByteReader r(payload);
+  (void)r.varint();  // now
+  (void)r.varint();  // events processed
+  for (int v = 0; v < 4; ++v) (void)r.byte_vec<std::uint8_t>();
+  const std::uint64_t num_mems = r.varint();
+  for (std::uint64_t m = 0; m < num_mems; ++m) (void)r.u64_vec();
+  const std::size_t head = payload.size() - r.remaining();
+  std::vector<PayloadEvent> events(r.varint());
+  for (PayloadEvent& e : events) {
+    e.time = r.varint();
+    e.net = r.varint();
+    e.value = r.u8();
+  }
+  EXPECT_TRUE(r.at_end());
+  return {std::vector<std::uint8_t>(payload.begin(),
+                                    payload.begin() +
+                                        static_cast<std::ptrdiff_t>(head)),
+          events};
+}
+
+std::vector<std::uint8_t> event_payload(const Engine& engine) {
+  util::ByteWriter w;
+  engine.serialize_state(*engine.save_state(), w);
+  return w.take();
+}
+
+std::vector<std::uint8_t> with_events(std::vector<std::uint8_t> head,
+                                      const std::vector<PayloadEvent>& events) {
+  util::ByteWriter w;
+  w.varint(events.size());
+  for (const PayloadEvent& e : events) {
+    w.varint(e.time);
+    w.varint(e.net);
+    w.u8(e.value);
+  }
+  head.insert(head.end(), w.data().begin(), w.data().end());
+  return head;
+}
+
+TEST(StateCodec, EventDecoderRejectsEventsOutsideTheSchedulingWindow) {
+  const soc::SocModel model = codec_soc();
+  sim::EventSimulator engine(model.netlist);
+  engine.advance_to(1000);  // quiescent: no live events at now = 1000
+  const auto quiescent = split_payload(event_payload(engine));
+  ASSERT_TRUE(quiescent.second.empty());
+  const std::vector<std::uint8_t>& head = quiescent.first;
+  const auto decode = [&](const std::vector<PayloadEvent>& events) {
+    const std::vector<std::uint8_t> payload = with_events(head, events);
+    util::ByteReader r(payload);
+    return engine.deserialize_state(r);
+  };
+  constexpr auto L1 = static_cast<std::uint8_t>(Logic::L1);
+
+  // The window is [now, now + 64): both ends of it decode and restore.
+  const auto edges = decode({{1000, 3, L1}, {1063, 4, L1}});
+  sim::EventSimulator clone(model.netlist);
+  clone.restore_state(*edges);
+  EXPECT_EQ(clone.now(), 1000u);
+  EXPECT_EQ(split_payload(event_payload(clone)).second.size(), 2u);
+
+  // Before now, or a full wheel span ahead: no bucket can hold it.
+  EXPECT_THROW((void)decode({{999, 3, L1}}), InvalidArgument);
+  EXPECT_THROW((void)decode({{1064, 3, L1}}), InvalidArgument);
+  EXPECT_THROW((void)decode({{1000, 3, L1}, {~std::uint64_t{0}, 4, L1}}),
+               InvalidArgument);
+  // Two live transitions on one net: the inertial model keeps at most one.
+  EXPECT_THROW((void)decode({{1010, 3, L1}, {1020, 3, L1}}), InvalidArgument);
+  // Out of application order.
+  EXPECT_THROW((void)decode({{1020, 3, L1}, {1010, 4, L1}}), InvalidArgument);
+  // Net out of range and a value outside the four logic levels.
+  EXPECT_THROW((void)decode({{1010, model.netlist.num_nets(), L1}}),
+               InvalidArgument);
+  EXPECT_THROW((void)decode({{1010, 3, 4}}), InvalidArgument);
+}
+
+TEST(StateCodec, EventEngineMidSettleSnapshotContinuesIdentically) {
+  // Snapshots taken while a clock edge is still settling carry many live
+  // events, several at the same picosecond. Their order within a time is
+  // part of the state: a decoded clone must match and evolve identically.
+  const soc::SocModel model = codec_soc();
+  const std::uint64_t period = soc::pick_clock_period(model.netlist);
+  sim::TestbenchConfig tb_config;
+  tb_config.clk = model.clk;
+  tb_config.rstn = model.rstn;
+  tb_config.monitored = model.monitored;
+  tb_config.clock_period_ps = period;
+
+  for (const std::uint64_t settle : {std::uint64_t{0}, std::uint64_t{45}}) {
+    SCOPED_TRACE("snapshot " + std::to_string(settle) + " ps after the edge");
+    sim::EventSimulator donor(model.netlist);
+    sim::Testbench tb(donor, tb_config);
+    tb.reset();
+    tb.run_cycles(10);
+    const std::uint64_t edge = donor.now() + period / 2;
+    donor.advance_to(edge);
+    donor.set_input(model.clk, Logic::L1);
+    donor.advance_to(edge + settle);
+
+    const auto snapshot = donor.save_state();
+    const std::vector<PayloadEvent> live =
+        split_payload(event_payload(donor)).second;
+    ASSERT_GT(live.size(), 2u);
+    bool same_time = false;
+    for (std::size_t i = 1; i < live.size(); ++i) {
+      ASSERT_GE(live[i].time, live[i - 1].time);
+      same_time = same_time || live[i].time == live[i - 1].time;
+    }
+    EXPECT_TRUE(same_time);
+
+    for (const StateCodec codec : {StateCodec::kRaw, StateCodec::kRle}) {
+      sim::EventSimulator clone(model.netlist);
+      clone.restore_state(
+          *sim::decode_state(clone, sim::encode_state(donor, *snapshot, codec)));
+      ASSERT_TRUE(clone.state_matches(*snapshot));
+      ASSERT_TRUE(donor.state_matches(*snapshot));
+
+      // Finish the cycle, then clock both for 12 more, comparing the
+      // monitored outputs at every half cycle.
+      for (int c = 0; c < 13; ++c) {
+        const std::uint64_t start = edge + static_cast<std::uint64_t>(c) * period;
+        for (sim::EventSimulator* e : {&donor, &clone}) {
+          if (c > 0) {
+            e->advance_to(start);
+            e->set_input(model.clk, Logic::L1);
+          }
+          e->advance_to(start + period / 2);
+          e->set_input(model.clk, Logic::L0);
+        }
+        for (const netlist::NetId net : model.monitored) {
+          ASSERT_EQ(donor.value(net), clone.value(net)) << "cycle " << c;
+        }
+      }
+      EXPECT_TRUE(clone.state_matches(*donor.save_state()));
+      EXPECT_EQ(clone.events_processed(), donor.events_processed());
+      donor.restore_state(*snapshot);
+    }
+  }
 }
 
 TEST(StateCodec, RandomPerturbedStatesRoundTrip) {
